@@ -22,7 +22,14 @@ from .alerts import AlertStore, run_alert_batch
 from .citegraph import build_graph, citation_counts, edges_tsv, link_rank, report_tsv
 from .config import CONFIG_ENV_VAR, Config, load_config
 from .errors import BiblioforgeError, NonConvergence
-from .records import FieldQuery, RecordStore, export_bibtex, parse_clause, parse_records_text
+from .records import (
+    FieldQuery,
+    RecordStore,
+    export_bibtex,
+    input_digest,
+    parse_clause,
+    parse_records_text,
+)
 from .refextract import extract_references, load_journal_kb
 from .taxonomy import extract_keywords, load_taxonomy
 from .usage import read_log, co_view_recommend, top_k
@@ -154,42 +161,51 @@ def cmd_ingest(args, cfg: Config, out) -> None:
     out.write(f"ingested\t{total}\n")
 
 
-def _fulltext_or_fail(store: RecordStore, record) -> str | None:
-    path = store.fulltext_file(record)
-    if path is None:
-        return None
-    if not path.is_file():
-        raise BiblioforgeError(f"full text missing for {record.record_id}: {path}")
-    return path.read_text(encoding="utf-8")
+def _records_with_text(store: RecordStore, settings: str):
+    """Yield (record, full text, input digest) for every stored record with a full text.
+
+    The digest covers the command's settings digest and the full text, so
+    it changes whenever anything the extractor reads does.
+    """
+    for record in store.iter_records():
+        path = store.fulltext_file(record)
+        if path is None:
+            continue
+        if not path.is_file():
+            raise BiblioforgeError(f"full text missing for {record.record_id}: {path}")
+        text = path.read_text(encoding="utf-8")
+        yield record, text, input_digest(settings.encode(), text.encode())
 
 
 def cmd_keywords(args, cfg: Config, out) -> None:
     if cfg.taxonomy_path is None:
         raise ValueError("no taxonomy configured (set taxonomy_path or --taxonomy)")
+    # Bytes read before the taxonomy is parsed: if the file changes in
+    # between, the stored digest is stale and the next run recomputes.
+    settings = input_digest(cfg.taxonomy_path.read_bytes(), str(args.max).encode())
     taxonomy = load_taxonomy(cfg.taxonomy_path)
     store = RecordStore(cfg.store_dir)
-    for record in store.iter_records():
-        text = _fulltext_or_fail(store, record)
-        if text is None:
-            continue
-        assignments = extract_keywords(text, taxonomy, max_results=args.max)
-        store.write_keywords_sidecar(record.record_id, assignments)
+    for record, text, digest in _records_with_text(store, settings):
+        assignments = record.keywords
+        if record.keywords_digest != digest:
+            assignments = extract_keywords(text, taxonomy, max_results=args.max)
+            store.write_keywords_sidecar(record.record_id, assignments, digest)
         for ka in assignments:
             counts = ",".join(str(c) for c in ka.component_counts) if ka.component_counts else ""
             out.write(f"{record.record_id}\t{ka.display_label}\t{ka.occurrence}\t{counts}\n")
 
 
 def cmd_refextract(args, cfg: Config, out) -> None:
-    kb = load_journal_kb(cfg.resolved_kb_path())
+    kb_path = cfg.resolved_kb_path()
+    # As in cmd_keywords, the bytes are read before the knowledge base is parsed.
+    settings = input_digest(kb_path.read_bytes(), *(p.encode() for p in cfg.heading_patterns))
+    kb = load_journal_kb(kb_path)
     store = RecordStore(cfg.store_dir)
-    for record in store.iter_records():
-        text = _fulltext_or_fail(store, record)
-        if text is None:
-            continue
-        entries = extract_references(text, kb, cfg.heading_patterns)
-        record.references = entries
-        store.upsert(record)
-        store.write_refs_sidecar(record.record_id, entries)
+    for record, text, digest in _records_with_text(store, settings):
+        entries = record.references
+        if record.references_digest != digest:
+            entries = extract_references(text, kb, cfg.heading_patterns)
+            store.write_refs_sidecar(record.record_id, entries, digest)
         out.write(f"{record.record_id}\t{len(entries)}\n")
 
 

@@ -5,22 +5,33 @@ line, records separated by a line containing only ``%%``.  Keys ``author``,
 ``report_number`` and ``reference_raw`` repeat; all others are singular.
 A store is a directory holding one ``<record_id>.rec`` file per record,
 with optional ``<record_id>.refs.tsv`` and ``<record_id>.keys.tsv``
-sidecars carrying parsed references and assigned keywords.
+sidecars carrying parsed references and assigned keywords.  The
+enrichment commands write only the sidecars, never the ``.rec`` file.  A
+sidecar may open with a ``digest<TAB><hex>`` line: the digest of the
+inputs its rows were computed from, written in the same file so that it
+always describes the rows beside it.  Sidecars without that line stay
+readable; their rows are simply recomputed by the next enrichment run.
 
 Parsing and query matching are pure functions.  The store supports
 concurrent readers with a single writer; each write goes to a temporary
-file in the store directory and is renamed into place.
+file in the store directory and is renamed into place.  Record ids are
+checked before any path is built from them, on read as on write.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+import re
 import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
+
+# _blake2 is what hashlib.blake2b re-exports; importing hashlib itself would
+# load OpenSSL and cost megabytes of resident memory in every command.
+from _blake2 import blake2b
 
 from .errors import MalformedLine, MissingField, StorageFailure, UnknownRecord
 from .refextract import CitationEntry
@@ -40,6 +51,11 @@ _INT_KEYS = ("year", "ingest_time")
 QUERY_FIELDS = ("title", "author", "year", "journal", "report_number", "keyword", "any")
 QUERY_MATCHES = ("contains", "equals", "range")
 
+# Every character str.splitlines splits on; parse_record would split a value there.
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE_BREAK = re.compile(f"[{_LINE_BREAKS}]")
+_BAD_ID_CHAR = re.compile(f"[/\\\\\0\t{_LINE_BREAKS}]")
+
 
 @dataclass
 class BibRecord:
@@ -57,15 +73,22 @@ class BibRecord:
     keywords: list[KeywordAssignment] = field(default_factory=list)
     references: list[CitationEntry] = field(default_factory=list)
     ingest_time: int | None = None
+    # Input digests read from the sidecars: provenance of the results, not content.
+    keywords_digest: str | None = field(default=None, compare=False, repr=False)
+    references_digest: str | None = field(default=None, compare=False, repr=False)
+
+
+def _check_record_id(record_id: str) -> None:
+    """Raise ValueError unless the id is usable as a file name in the store."""
+    if not record_id:
+        raise ValueError("record_id must be non-empty")
+    if _BAD_ID_CHAR.search(record_id) or record_id in (".", ".."):
+        raise ValueError(f"record_id not usable as a file name: {record_id!r}")
 
 
 def validate_record(record: BibRecord) -> None:
     """Check record invariants; raises ValueError on violation."""
-    rid = record.record_id
-    if not rid:
-        raise ValueError("record_id must be non-empty")
-    if any(ch in rid for ch in "/\\\0\n\t") or rid in (".", ".."):
-        raise ValueError(f"record_id not usable as a file name: {rid!r}")
+    _check_record_id(record.record_id)
     if not record.title.strip():
         raise ValueError("title must be non-empty")
     if record.year is not None and not YEAR_MIN <= record.year <= YEAR_MAX:
@@ -73,7 +96,7 @@ def validate_record(record: BibRecord) -> None:
     if record.ingest_time is not None and record.ingest_time < 0:
         raise ValueError("ingest_time must be non-negative")
     for value in _serializable_values(record):
-        if "\n" in value or "\r" in value:
+        if _LINE_BREAK.search(value):
             raise ValueError(f"field value contains a line break: {value!r}")
 
 
@@ -298,99 +321,109 @@ def export_bibtex(records: Iterable[BibRecord]) -> str:
 # --- sidecar serialization -------------------------------------------------
 
 _ABSENT = ""
+_DIGEST_KEY = "digest"
 
 
-def _refs_rows(entries: Iterable[CitationEntry]) -> str:
+def input_digest(*parts: bytes) -> str:
+    """Hex digest of a sequence of byte strings, each framed by its length."""
+    h = blake2b(digest_size=16)
+    for part in parts:
+        h.update(len(part).to_bytes(8, "big"))
+        h.update(part)
+    return h.hexdigest()
+
+
+def _sidecar_text(rows: Iterable[Iterable[str]], digest: str | None) -> str:
+    lines = [] if digest is None else [f"{_DIGEST_KEY}\t{digest}"]
+    lines.extend("\t".join(row) for row in rows)
+    return "".join(line + "\n" for line in lines)
+
+
+def _sidecar_rows(text: str, columns: int, kind: str) -> tuple[str | None, list[list[str]]]:
+    """(digest, rows) of a sidecar; the digest is None when the first line is not one.
+
+    A digest line has two columns and every row more, so the two never mix.
+    """
+    digest = None
     rows = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line:
+            continue
+        cols = line.split("\t")
+        if line_no == 1 and len(cols) == 2 and cols[0] == _DIGEST_KEY:
+            digest = cols[1]
+        elif len(cols) != columns:
+            raise MalformedLine(f"{kind} sidecar row has {len(cols)} columns", line_no)
+        else:
+            rows.append(cols)
+    return digest, rows
+
+
+def _refs_rows(entries: Iterable[CitationEntry]) -> Iterator[list[str]]:
     for e in entries:
-        rows.append(
-            "\t".join(
-                [
-                    e.marker or _ABSENT,
-                    e.journal or _ABSENT,
-                    e.volume or _ABSENT,
-                    e.page or _ABSENT,
-                    str(e.year) if e.year is not None else _ABSENT,
-                    ";".join(e.report_numbers),
-                    e.url or _ABSENT,
-                    e.raw,
-                ]
-            )
+        yield [
+            e.marker or _ABSENT,
+            e.journal or _ABSENT,
+            e.volume or _ABSENT,
+            e.page or _ABSENT,
+            str(e.year) if e.year is not None else _ABSENT,
+            ";".join(e.report_numbers),
+            e.url or _ABSENT,
+            e.raw,
+        ]
+
+
+def _refs_from_rows(text: str) -> tuple[str | None, list[CitationEntry]]:
+    digest, rows = _sidecar_rows(text, 8, "refs")
+    entries = [
+        CitationEntry(
+            raw=raw,
+            marker=marker or None,
+            journal=journal or None,
+            volume=volume or None,
+            page=page or None,
+            year=int(year) if year else None,
+            report_numbers=[r for r in reports.split(";") if r],
+            url=url or None,
         )
-    return "".join(row + "\n" for row in rows)
+        for marker, journal, volume, page, year, reports, url, raw in rows
+    ]
+    return digest, entries
 
 
-def _refs_from_rows(text: str) -> list[CitationEntry]:
-    entries = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line:
-            continue
-        cols = line.split("\t")
-        if len(cols) != 8:
-            raise MalformedLine(f"refs sidecar row has {len(cols)} columns", line_no)
-        marker, journal, volume, page, year, reports, url, raw = cols
-        entries.append(
-            CitationEntry(
-                raw=raw,
-                marker=marker or None,
-                journal=journal or None,
-                volume=volume or None,
-                page=page or None,
-                year=int(year) if year else None,
-                report_numbers=[r for r in reports.split(";") if r],
-                url=url or None,
-            )
-        )
-    return entries
-
-
-def _keys_rows(assignments: Iterable[KeywordAssignment]) -> str:
-    rows = []
+def _keys_rows(assignments: Iterable[KeywordAssignment]) -> Iterator[list[str]]:
     for ka in assignments:
-        rows.append(
-            "\t".join(
-                [
-                    ka.term_id,
-                    ka.display_label,
-                    str(ka.occurrence),
-                    "+".join(ka.components) if ka.components else _ABSENT,
-                    ",".join(str(c) for c in ka.component_counts)
-                    if ka.component_counts
-                    else _ABSENT,
-                ]
-            )
-        )
-    return "".join(row + "\n" for row in rows)
+        yield [
+            ka.term_id,
+            ka.display_label,
+            str(ka.occurrence),
+            "+".join(ka.components) if ka.components else _ABSENT,
+            ",".join(str(c) for c in ka.component_counts) if ka.component_counts else _ABSENT,
+        ]
 
 
-def _keys_from_rows(text: str) -> list[KeywordAssignment]:
-    assignments = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line:
-            continue
-        cols = line.split("\t")
-        if len(cols) != 5:
-            raise MalformedLine(f"keys sidecar row has {len(cols)} columns", line_no)
-        term_id, label, occurrence, components, counts = cols
-        assignments.append(
-            KeywordAssignment(
-                term_id=term_id,
-                display_label=label,
-                occurrence=int(occurrence),
-                components=tuple(components.split("+")) if components else None,  # type: ignore[arg-type]
-                component_counts=tuple(int(c) for c in counts.split(","))  # type: ignore[arg-type]
-                if counts
-                else None,
-            )
+def _keys_from_rows(text: str) -> tuple[str | None, list[KeywordAssignment]]:
+    digest, rows = _sidecar_rows(text, 5, "keys")
+    assignments = [
+        KeywordAssignment(
+            term_id=term_id,
+            display_label=label,
+            occurrence=int(occurrence),
+            components=tuple(components.split("+")) if components else None,  # type: ignore[arg-type]
+            component_counts=tuple(int(c) for c in counts.split(","))  # type: ignore[arg-type]
+            if counts
+            else None,
         )
-    return assignments
+        for term_id, label, occurrence, components, counts in rows
+    ]
+    return digest, assignments
 
 
 class RecordStore:
     """Directory-backed record store: one ``<record_id>.rec`` per record.
 
     Reads are safe from many threads; writes require a single writer and
-    are atomic per record (write to a temporary file, then rename).
+    are atomic per file (write to a temporary file, then rename).
     """
 
     def __init__(self, root: str | Path, create: bool = True):
@@ -403,8 +436,9 @@ class RecordStore:
         elif not self.root.is_dir():
             raise StorageFailure(f"store directory does not exist: {self.root}")
 
-    def _rec_path(self, record_id: str) -> Path:
-        return self.root / f"{record_id}.rec"
+    def _path(self, record_id: str, suffix: str) -> Path:
+        _check_record_id(record_id)
+        return self.root / f"{record_id}{suffix}"
 
     def _write_atomic(self, path: Path, content: str) -> None:
         try:
@@ -429,33 +463,43 @@ class RecordStore:
         validate_record(record)
         if record.ingest_time is None:
             record.ingest_time = now if now is not None else int(time.time())
-        self._write_atomic(self._rec_path(record.record_id), serialize_record(record))
+        self._write_atomic(self._path(record.record_id, ".rec"), serialize_record(record))
         return record
 
     def get(self, record_id: str) -> BibRecord:
         """Load a record, merging reference and keyword sidecars if present."""
-        path = self._rec_path(record_id)
+        path = self._path(record_id, ".rec")
         if not path.is_file():
             raise UnknownRecord(record_id)
         try:
             record = parse_record(path.read_text(encoding="utf-8"))
         except OSError as exc:
             raise StorageFailure(f"read of {path} failed: {exc}") from exc
-        refs = self.root / f"{record_id}.refs.tsv"
+        refs = self._path(record_id, ".refs.tsv")
         if refs.is_file():
-            record.references = _refs_from_rows(refs.read_text(encoding="utf-8"))
-        keys = self.root / f"{record_id}.keys.tsv"
+            record.references_digest, record.references = _refs_from_rows(
+                refs.read_text(encoding="utf-8")
+            )
+        keys = self._path(record_id, ".keys.tsv")
         if keys.is_file():
-            record.keywords = _keys_from_rows(keys.read_text(encoding="utf-8"))
+            record.keywords_digest, record.keywords = _keys_from_rows(
+                keys.read_text(encoding="utf-8")
+            )
         return record
 
-    def write_refs_sidecar(self, record_id: str, entries: Iterable[CitationEntry]) -> None:
-        self._write_atomic(self.root / f"{record_id}.refs.tsv", _refs_rows(entries))
+    def write_refs_sidecar(
+        self, record_id: str, entries: Iterable[CitationEntry], digest: str | None = None
+    ) -> None:
+        """Write the references sidecar, led by the digest of its inputs when given."""
+        text = _sidecar_text(_refs_rows(entries), digest)
+        self._write_atomic(self._path(record_id, ".refs.tsv"), text)
 
     def write_keywords_sidecar(
-        self, record_id: str, assignments: Iterable[KeywordAssignment]
+        self, record_id: str, assignments: Iterable[KeywordAssignment], digest: str | None = None
     ) -> None:
-        self._write_atomic(self.root / f"{record_id}.keys.tsv", _keys_rows(assignments))
+        """Write the keywords sidecar, led by the digest of its inputs when given."""
+        text = _sidecar_text(_keys_rows(assignments), digest)
+        self._write_atomic(self._path(record_id, ".keys.tsv"), text)
 
     def record_ids(self) -> list[str]:
         return sorted(p.stem for p in self.root.glob("*.rec"))
@@ -464,7 +508,7 @@ class RecordStore:
         return len(self.record_ids())
 
     def __contains__(self, record_id: str) -> bool:
-        return self._rec_path(record_id).is_file()
+        return self._path(record_id, ".rec").is_file()
 
     def iter_records(self) -> Iterator[BibRecord]:
         for record_id in self.record_ids():

@@ -67,9 +67,30 @@ def events_from_lines(lines: Iterable[str]) -> tuple[list[UsageEvent], int]:
 
 
 def read_log(path: str | Path) -> tuple[list[UsageEvent], int]:
-    """Read a log file; returns (events, skipped count)."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Read a log file; returns (events, skipped count).
+
+    A line that is not valid UTF-8 is skipped and counted like any other
+    malformed line.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        return _read_damaged_log(Path(path).read_bytes())
     return events_from_lines(text.splitlines())
+
+
+def _read_damaged_log(data: bytes) -> tuple[list[UsageEvent], int]:
+    """Decode line by line, skipping the lines that are not valid UTF-8."""
+    lines: list[str] = []
+    undecodable = 0
+    for raw in data.splitlines():
+        try:
+            lines.extend(raw.decode("utf-8").splitlines())
+        except UnicodeDecodeError as exc:
+            undecodable += 1
+            logger.warning("skipping log line: %s", exc)
+    events, skipped = events_from_lines(lines)
+    return events, skipped + undecodable
 
 
 def _in_window(timestamp: int, window: tuple[int | None, int | None] | None) -> bool:

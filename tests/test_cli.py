@@ -253,6 +253,16 @@ class TestUsageCommands:
         assert code == 1
         assert "unknown record: missing-id" in err
 
+    def test_invalid_utf8_byte_skipped(self, capsys, workspace):
+        log = workspace["root"] / "usage.log"
+        corpus_log = (CORPUS / "usage.log").read_bytes()
+        log.write_bytes(corpus_log + b"1136073600\tv9\tr\xff1\tview\n")
+        argv = ["usage", "top", "--action", "view", "-k", "5", "--store-dir", str(workspace["store"])]
+        code, out, err = run(capsys, *argv, "--log-path", str(log))
+        assert code == 0
+        assert "skipped 1 malformed log lines" in err
+        assert out == "r01\t6\nr02\t4\nr03\t3\nr04\t2\nr06\t2\n"
+
     def test_missing_log_is_input_error(self, capsys, workspace):
         code, _, err = run(
             capsys, "usage", "top", "--action", "view", "--store-dir", str(workspace["store"])

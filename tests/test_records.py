@@ -158,6 +158,39 @@ class TestStore:
         with pytest.raises(ValueError):
             store.upsert(BibRecord("a/b", "T"))
 
+    @pytest.mark.parametrize("char", list("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"))
+    def test_every_splitlines_break_rejected(self, store: RecordStore, char):
+        store.upsert(BibRecord("r1", "Fine"))
+        with pytest.raises(ValueError):
+            store.upsert(BibRecord("r2", f"Dilaton{char}Gravity"))
+        with pytest.raises(ValueError):
+            store.upsert(BibRecord("r1", "T", authors=[f"A.{char}Pepe"]))
+        assert store.record_ids() == ["r1"]
+        assert store.get("r1").title == "Fine"
+
+    @given(title=st.text(min_size=1, max_size=20).map(str.strip).filter(bool))
+    @settings(max_examples=200)
+    def test_accepted_title_reads_back(self, tmp_path_factory, title):
+        store = RecordStore(tmp_path_factory.mktemp("records"))
+        try:
+            store.upsert(BibRecord("r1", title))
+        except ValueError:
+            return
+        assert store.get("r1").title == title
+
+    @pytest.mark.parametrize("record_id", ["../other/x", "..", "a\\b", "", "x\u2028y"])
+    def test_get_rejects_ids_outside_the_store(self, tmp_path: Path, record_id):
+        (tmp_path / "other").mkdir()
+        (tmp_path / "other" / "x.rec").write_text("id: x\ntitle: Elsewhere\n", encoding="utf-8")
+        store = RecordStore(tmp_path / "records")
+        with pytest.raises(ValueError):
+            store.get(record_id)
+        with pytest.raises(ValueError):
+            store.write_keywords_sidecar(record_id, [])
+        with pytest.raises(ValueError):
+            store.write_refs_sidecar(record_id, [])
+        assert list(store.root.iterdir()) == []
+
     def test_ingest_time_stamped_when_absent(self, store: RecordStore):
         stored = store.upsert(BibRecord("r1", "T"))
         assert stored.ingest_time is not None and stored.ingest_time > 0
@@ -211,6 +244,28 @@ class TestStore:
         )
         store.write_keywords_sidecar("r1", assignments)
         assert store.get("r1").keywords == assignments
+
+    def test_sidecar_digests_round_trip(self, store: RecordStore, taxonomy3):
+        store.upsert(BibRecord("r1", "T"))
+        assignments = extract_keywords("dilaton gravitation.", taxonomy3, 10)
+        store.write_keywords_sidecar("r1", assignments, "ab12")
+        store.write_refs_sidecar("r1", [CitationEntry(raw="[1] x")], "cd34")
+        assert (store.root / "r1.keys.tsv").read_text(encoding="utf-8").startswith("digest\tab12\n")
+        record = store.get("r1")
+        assert (record.keywords_digest, record.references_digest) == ("ab12", "cd34")
+        assert record.keywords == assignments
+        assert [e.raw for e in record.references] == ["[1] x"]
+        assert record == BibRecord("r1", "T", keywords=assignments, references=record.references,
+                                   ingest_time=record.ingest_time)
+
+    def test_sidecars_without_digest_stay_readable(self, store: RecordStore):
+        store.upsert(BibRecord("r1", "T"))
+        (store.root / "r1.refs.tsv").write_text("[1]\t\t\t\t\t\t\t[1] x\n", encoding="utf-8")
+        (store.root / "r1.keys.tsv").write_text("t_d\tdilaton\t2\t\t\n", encoding="utf-8")
+        record = store.get("r1")
+        assert (record.keywords_digest, record.references_digest) == (None, None)
+        assert [e.raw for e in record.references] == ["[1] x"]
+        assert [(k.term_id, k.occurrence) for k in record.keywords] == [("t_d", 2)]
 
     def test_fulltext_resolution(self, store: RecordStore):
         record = BibRecord("r1", "T", fulltext_path="ft/r1.txt")

@@ -66,6 +66,13 @@ class TestBatchReading:
         assert len(events) == 993
         assert skipped == 7
 
+    def test_invalid_utf8_line_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "usage.log"
+        path.write_bytes(b"5\tv1\tr1\tview\n6\tv2\tr\xff2\tview\r\n7\tv3\tr3\tdownload\n")
+        events, skipped = read_log(path)
+        assert skipped == 1
+        assert events == [_ev(5, "v1", "r1"), _ev(7, "v3", "r3", "download")]
+
     def test_blank_lines_ignored_silently(self):
         events, skipped = events_from_lines(["", "5\tv\tr\tview", "   "])
         assert len(events) == 1
