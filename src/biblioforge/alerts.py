@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import MalformedLine, MissingField, StorageFailure
-from .records import BibRecord, FieldQuery, match_query, parse_clause
+from .records import FieldQuery, match_query, parse_clause, sorted_records, write_atomic
 
 logger = logging.getLogger(__name__)
 
@@ -108,13 +108,7 @@ class AlertStore:
         return self.root / f"{alert_id}.alert"
 
     def save(self, sub: AlertSubscription) -> None:
-        path = self._path(sub.alert_id)
-        tmp = path.with_suffix(".alert.tmp")
-        try:
-            tmp.write_text(serialize_subscription(sub), encoding="utf-8")
-            tmp.replace(path)
-        except OSError as exc:
-            raise StorageFailure(f"write of {path} failed: {exc}") from exc
+        write_atomic(self._path(sub.alert_id), serialize_subscription(sub))
 
     def get(self, alert_id: str) -> AlertSubscription:
         path = self._path(alert_id)
@@ -150,12 +144,6 @@ def register_alert(
     return store.register(query, owner, now)
 
 
-def _records_of(store) -> list[BibRecord]:
-    records = list(store.iter_records()) if hasattr(store, "iter_records") else list(store)
-    records.sort(key=lambda r: r.record_id)
-    return records
-
-
 def run_alert_batch(
     store,
     subscriptions: list[AlertSubscription],
@@ -175,7 +163,7 @@ def run_alert_batch(
     to ``<dir>/<now>/<alert_id>.tsv`` (record id and title per row) before
     its watermark is persisted through ``alert_store``.
     """
-    records = _records_of(store)
+    records = sorted_records(store)
     titles = {r.record_id: r.title for r in records}
     notifications = []
     for sub in subscriptions:
@@ -204,10 +192,7 @@ def _write_notification(
     batch_dir = root / str(batch_ts)
     try:
         batch_dir.mkdir(parents=True, exist_ok=True)
-        path = batch_dir / f"{note.alert_id}.tsv"
-        tmp = path.with_suffix(".tsv.tmp")
-        rows = "".join(f"{rid}\t{titles.get(rid, '')}\n" for rid in note.record_ids)
-        tmp.write_text(rows, encoding="utf-8")
-        tmp.replace(path)
     except OSError as exc:
-        raise StorageFailure(f"notification write failed: {exc}") from exc
+        raise StorageFailure(f"cannot create notification directory {batch_dir}: {exc}") from exc
+    rows = "".join(f"{rid}\t{titles.get(rid, '')}\n" for rid in note.record_ids)
+    write_atomic(batch_dir / f"{note.alert_id}.tsv", rows)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import NonConvergence, UnknownNode
-from .records import BibRecord
+from .records import BibRecord, sorted_records
 
 logger = logging.getLogger(__name__)
 
@@ -28,12 +28,6 @@ class CitationGraph:
     unresolved: int = 0
 
 
-def _records_of(store) -> list[BibRecord]:
-    records = list(store.iter_records()) if hasattr(store, "iter_records") else list(store)
-    records.sort(key=lambda r: r.record_id)
-    return records
-
-
 def build_graph(store: Iterable[BibRecord]) -> CitationGraph:
     """Resolve stored references into a citation graph.
 
@@ -43,7 +37,7 @@ def build_graph(store: Iterable[BibRecord]) -> CitationGraph:
     Duplicate citations of one target collapse to a single edge and
     self-citations never become edges.
     """
-    records = _records_of(store)
+    records = sorted_records(store)
     graph = CitationGraph(nodes={r.record_id for r in records})
 
     by_report: dict[str, str] = {}

@@ -161,15 +161,19 @@ def cmd_ingest(args, cfg: Config, out) -> None:
     out.write(f"ingested\t{total}\n")
 
 
-def _records_with_text(store: RecordStore, settings: str):
+def _records_with_text(store: RecordStore, settings: str, sidecar: str):
     """Yield (record, full text, input digest) for every stored record with a full text.
 
     The digest covers the command's settings digest and the full text, so
-    it changes whenever anything the extractor reads does.
+    it changes whenever anything the extractor reads does.  A record
+    without a full text loses the command's ``sidecar`` (``.keys.tsv`` or
+    ``.refs.tsv``), if it has one: its rows describe a text the record no
+    longer names.
     """
     for record in store.iter_records():
         path = store.fulltext_file(record)
         if path is None:
+            store.remove_sidecar(record.record_id, sidecar)
             continue
         if not path.is_file():
             raise BiblioforgeError(f"full text missing for {record.record_id}: {path}")
@@ -185,7 +189,7 @@ def cmd_keywords(args, cfg: Config, out) -> None:
     settings = input_digest(cfg.taxonomy_path.read_bytes(), str(args.max).encode())
     taxonomy = load_taxonomy(cfg.taxonomy_path)
     store = RecordStore(cfg.store_dir)
-    for record, text, digest in _records_with_text(store, settings):
+    for record, text, digest in _records_with_text(store, settings, ".keys.tsv"):
         assignments = record.keywords
         if record.keywords_digest != digest:
             assignments = extract_keywords(text, taxonomy, max_results=args.max)
@@ -201,7 +205,7 @@ def cmd_refextract(args, cfg: Config, out) -> None:
     settings = input_digest(kb_path.read_bytes(), *(p.encode() for p in cfg.heading_patterns))
     kb = load_journal_kb(kb_path)
     store = RecordStore(cfg.store_dir)
-    for record, text, digest in _records_with_text(store, settings):
+    for record, text, digest in _records_with_text(store, settings, ".refs.tsv"):
         entries = record.references
         if record.references_digest != digest:
             entries = extract_references(text, kb, cfg.heading_patterns)

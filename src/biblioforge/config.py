@@ -32,7 +32,6 @@ class Config:
     damping: float = 0.85
     rank_tolerance: float = 1e-10
     rank_max_iters: int = 1000
-    composite_window: str = "sentence"
     heading_patterns: tuple[str, ...] = DEFAULT_HEADING_PATTERNS
 
     def __post_init__(self) -> None:
@@ -42,8 +41,6 @@ class Config:
             raise ValueError("rank_tolerance must be positive")
         if self.rank_max_iters < 1:
             raise ValueError("rank_max_iters must be >= 1")
-        if self.composite_window != "sentence":
-            raise ValueError("composite_window is fixed to 'sentence'")
         for pattern in self.heading_patterns:
             re.compile(pattern)
 

@@ -14,8 +14,9 @@ readable; their rows are simply recomputed by the next enrichment run.
 
 Parsing and query matching are pure functions.  The store supports
 concurrent readers with a single writer; each write goes to a temporary
-file in the store directory and is renamed into place.  Record ids are
-checked before any path is built from them, on read as on write.
+file in the store directory and is renamed into place (``write_atomic``,
+which the alert store and the notification writer use too).  Record ids
+are checked before any path is built from them, on read as on write.
 """
 
 from __future__ import annotations
@@ -76,6 +77,32 @@ class BibRecord:
     # Input digests read from the sidecars: provenance of the results, not content.
     keywords_digest: str | None = field(default=None, compare=False, repr=False)
     references_digest: str | None = field(default=None, compare=False, repr=False)
+
+
+def write_atomic(path: Path, content: str) -> None:
+    """Replace ``path`` with ``content`` through a fresh temporary file and a rename.
+
+    The temporary file sits beside the target, named ``.tmp-*.tmp`` so no
+    store glob picks it up, and is removed when the write fails.
+    """
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(content)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise StorageFailure(f"write to {path} failed: {exc}") from exc
+
+
+def sorted_records(store) -> list[BibRecord]:
+    """Every record of a store, or of any iterable of records, sorted by id."""
+    records = list(store.iter_records()) if hasattr(store, "iter_records") else list(store)
+    records.sort(key=lambda r: r.record_id)
+    return records
 
 
 def _check_record_id(record_id: str) -> None:
@@ -333,9 +360,16 @@ def input_digest(*parts: bytes) -> str:
     return h.hexdigest()
 
 
-def _sidecar_text(rows: Iterable[Iterable[str]], digest: str | None) -> str:
+def _sidecar_text(record_id: str, rows: Iterable[list[str]], digest: str | None) -> str:
+    """Sidecar file text; ValueError when a cell would split its row or line."""
     lines = [] if digest is None else [f"{_DIGEST_KEY}\t{digest}"]
-    lines.extend("\t".join(row) for row in rows)
+    for row in rows:
+        line = "\t".join(row)
+        if line.count("\t") != len(row) - 1 or _LINE_BREAK.search(line):
+            raise ValueError(
+                f"record {record_id}: sidecar value holds a tab or line break: {line!r}"
+            )
+        lines.append(line)
     return "".join(line + "\n" for line in lines)
 
 
@@ -440,20 +474,6 @@ class RecordStore:
         _check_record_id(record_id)
         return self.root / f"{record_id}{suffix}"
 
-    def _write_atomic(self, path: Path, content: str) -> None:
-        try:
-            # ".tmp" suffix keeps half-written files out of the *.rec glob
-            fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".tmp-", suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    fh.write(content)
-                os.replace(tmp, path)
-            except BaseException:
-                os.unlink(tmp)
-                raise
-        except OSError as exc:
-            raise StorageFailure(f"write to {path} failed: {exc}") from exc
-
     def upsert(self, record: BibRecord, now: int | None = None) -> BibRecord:
         """Insert or replace a record; latest content wins per record id.
 
@@ -463,7 +483,7 @@ class RecordStore:
         validate_record(record)
         if record.ingest_time is None:
             record.ingest_time = now if now is not None else int(time.time())
-        self._write_atomic(self._path(record.record_id, ".rec"), serialize_record(record))
+        write_atomic(self._path(record.record_id, ".rec"), serialize_record(record))
         return record
 
     def get(self, record_id: str) -> BibRecord:
@@ -491,15 +511,23 @@ class RecordStore:
         self, record_id: str, entries: Iterable[CitationEntry], digest: str | None = None
     ) -> None:
         """Write the references sidecar, led by the digest of its inputs when given."""
-        text = _sidecar_text(_refs_rows(entries), digest)
-        self._write_atomic(self._path(record_id, ".refs.tsv"), text)
+        text = _sidecar_text(record_id, _refs_rows(entries), digest)
+        write_atomic(self._path(record_id, ".refs.tsv"), text)
 
     def write_keywords_sidecar(
         self, record_id: str, assignments: Iterable[KeywordAssignment], digest: str | None = None
     ) -> None:
         """Write the keywords sidecar, led by the digest of its inputs when given."""
-        text = _sidecar_text(_keys_rows(assignments), digest)
-        self._write_atomic(self._path(record_id, ".keys.tsv"), text)
+        text = _sidecar_text(record_id, _keys_rows(assignments), digest)
+        write_atomic(self._path(record_id, ".keys.tsv"), text)
+
+    def remove_sidecar(self, record_id: str, suffix: str) -> None:
+        """Delete a record's ``.refs.tsv`` or ``.keys.tsv`` sidecar, if there is one."""
+        path = self._path(record_id, suffix)
+        try:
+            path.unlink(missing_ok=True)
+        except OSError as exc:
+            raise StorageFailure(f"removal of {path} failed: {exc}") from exc
 
     def record_ids(self) -> list[str]:
         return sorted(p.stem for p in self.root.glob("*.rec"))

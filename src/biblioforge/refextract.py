@@ -45,6 +45,8 @@ _INST_REPORT_RE = re.compile(r"\b[A-Z]{2,}(?:-[A-Z0-9]+)+\b")
 _YEAR_RE = re.compile(r"\(\s*(\d{4})\s*\)|\b(\d{4})\b")
 _LEADING_MARKER_RE = re.compile(r"^\s*(\[\d+\]|\(\d+\)|\d{1,3}\.)\s*")
 _TEMPLATE_FIELD_RE = re.compile(r"\{(\w+)\}")
+_TOKEN_RE = re.compile(r"\S+")
+_COMMA_RE = re.compile(",")
 
 _MAX_TITLE_TOKENS = 8
 
@@ -72,6 +74,13 @@ class JournalKB:
                     if owner is not None and owner != entry.canonical_title:
                         raise DuplicateAlias(norm, [owner, entry.canonical_title])
                     self.alias_index[norm] = entry.canonical_title
+        # every word prefix of every alias key, "" included: a candidate
+        # title outside this set cannot grow into an alias
+        self._alias_prefixes = {
+            " ".join(words[:i])
+            for words in map(str.split, self.alias_index)
+            for i in range(len(words) + 1)
+        }
         self._templates = {
             e.canonical_title: e.url_template for e in self.entries if e.url_template
         }
@@ -97,8 +106,13 @@ class CitationEntry:
 
 def normalize_alias(text: str) -> str:
     """Uppercase, drop periods, turn ampersands into spacing, collapse runs."""
-    t = text.upper().replace(".", "").replace("&", " ")
-    return " ".join(t.split())
+    return " ".join(_alias_words(text))
+
+
+def _alias_words(text: str) -> list[str]:
+    # str.upper maps each character on its own and never yields whitespace,
+    # "." or "&", so the words of a text are the words of its tokens in turn
+    return text.upper().replace(".", "").replace("&", " ").split()
 
 
 def load_journal_kb(path: str | Path) -> JournalKB:
@@ -141,15 +155,6 @@ def _compile_heading_patterns(patterns: tuple[str, ...] | list[str] | None):
     return [re.compile(p, re.IGNORECASE) for p in pats]
 
 
-def _lines_with_offsets(text: str) -> list[tuple[int, str]]:
-    offsets = []
-    pos = 0
-    for line in text.splitlines(keepends=True):
-        offsets.append((pos, line.rstrip("\n").rstrip("\r")))
-        pos += len(line)
-    return offsets
-
-
 def locate_reference_section(
     fulltext: str,
     heading_patterns: tuple[str, ...] | list[str] | None = None,
@@ -163,20 +168,23 @@ def locate_reference_section(
     bracketed or dotted numeric markers, covering exactly that run.
     """
     compiled = _compile_heading_patterns(heading_patterns)
-    lines = _lines_with_offsets(fulltext)
+    lines = fulltext.splitlines(keepends=True)
 
-    heading_start = None
-    for offset, line in lines:
+    # the last heading wins, so the scan runs from the end
+    offset = len(fulltext)
+    for raw in reversed(lines):
+        offset -= len(raw)
+        line = raw.rstrip("\n").rstrip("\r")
         if any(p.match(line) for p in compiled):
-            heading_start = offset
-    if heading_start is not None:
-        return (heading_start, len(fulltext))
+            return (offset, len(fulltext))
 
     best: tuple[int, int] | None = None
     run_start = None
     run_end = None
     run_len = 0
-    for offset, line in lines:
+    offset = 0
+    for raw in lines:
+        line = raw.rstrip("\n").rstrip("\r")
         if _FALLBACK_MARKER_RE.match(line):
             if run_start is None:
                 run_start = offset
@@ -187,6 +195,7 @@ def locate_reference_section(
             if run_start is not None and run_len >= min_marker_run:
                 best = (run_start, run_end)  # type: ignore[assignment]
             run_start = None
+        offset += len(raw)
     if run_start is not None and run_len >= min_marker_run:
         best = (run_start, run_end)  # type: ignore[assignment]
     return best
@@ -213,7 +222,8 @@ def _segment_with_markers(
     A marker starts a new entry only while numbers strictly increase;
     a repeated number is treated as a continuation line and a decrease
     ends segmentation.  Without markers, blank lines separate entries.
-    Continuation lines are joined with a single space.
+    Continuation lines are joined with a single space, and tabs inside an
+    entry become spaces, so every entry is one line without tabs.
     """
     lines = section_text.splitlines()
     compiled = _compile_heading_patterns(heading_patterns)
@@ -262,7 +272,7 @@ def _segment_with_markers(
 
     if not entries:
         raise EmptySection("no citation entries found in section")
-    return entries
+    return [(marker, text.replace("\t", " ")) for marker, text in entries]
 
 
 def segment_entries(
@@ -318,19 +328,32 @@ def _find_journal(text: str, kb: JournalKB) -> tuple[str, int] | None:
     Returns (canonical title, end offset of the matched prefix).  Entries
     conventionally lead with author names, so candidate start positions
     after commas let the scan reach the journal while staying anchored.
+    A candidate title grows by whitespace-separated tokens, at most
+    ``_MAX_TITLE_TOKENS``, and stops growing once it is no word prefix of
+    any alias.  A comma inside a token starts a candidate at the rest of
+    that token.
     """
-    starts = [0] + [m.end() for m in re.finditer(",", text)]
-    for start in starts:
-        tokens = list(re.finditer(r"\S+", text[start:]))
-        if not tokens:
-            continue
-        first = tokens[0].start()
+    spans = [m.span() for m in _TOKEN_RE.finditer(text)]
+    words = [_alias_words(text[a:b]) for a, b in spans]
+    aliases, prefixes = kb.alias_index, kb._alias_prefixes
+    first = 0  # first token ending after the start
+    for start in [0] + [m.end() for m in _COMMA_RE.finditer(text)]:
+        while first < len(spans) and spans[first][1] <= start:
+            first += 1
+        if first == len(spans):
+            return None
+        a, b = spans[first]
+        title = list(words[first] if a >= start else _alias_words(text[start:b]))
         hit: tuple[str, int] | None = None
-        for tok in tokens[:_MAX_TITLE_TOKENS]:
-            prefix = text[start + first:start + tok.end()]
-            canonical = kb.alias_index.get(normalize_alias(prefix))
+        for k in range(first, min(first + _MAX_TITLE_TOKENS, len(spans))):
+            if k > first:
+                title += words[k]
+            key = " ".join(title)
+            if key not in prefixes:
+                break
+            canonical = aliases.get(key)
             if canonical is not None:
-                hit = (canonical, start + tok.end())
+                hit = (canonical, spans[k][1])
         if hit is not None:
             return hit
     return None

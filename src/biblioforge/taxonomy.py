@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import re
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,11 +35,11 @@ logger = logging.getLogger(__name__)
 # lowercase word characters and intra-word hyphens, so no collision.
 SENTENCE_BOUNDARY = "<eos>"
 
-# Word tokens keep intra-word hyphens; every other character separates.
-_TOKEN_RE = re.compile(r"[^\W_]+(?:-[^\W_]+)*|[.!?]", re.UNICODE)
-
-# Longest candidate phrase considered when matching labels at a position.
-_MAX_PHRASE_TOKENS = 8
+# Word tokens keep intra-word hyphens; every other character separates.  A
+# sentence mark counts only before whitespace or at the end of the text;
+# regex \s and str.isspace agree on every code point.
+_TOKEN_RE = re.compile(r"[^\W_]+(?:-[^\W_]+)*|[.!?](?=\s|\Z)", re.UNICODE)
+_SENTENCE_MARKS = frozenset(".!?")
 
 
 def tokenize(text: str) -> list[str]:
@@ -48,16 +49,12 @@ def tokenize(text: str) -> list[str]:
     tokens.  A period, question mark or exclamation mark followed by
     whitespace (or end of text) emits a SENTENCE_BOUNDARY token.
     """
-    tokens: list[str] = []
-    for m in _TOKEN_RE.finditer(text):
-        tok = m.group(0)
-        if tok in (".", "!", "?"):
-            end = m.end()
-            if end >= len(text) or text[end].isspace():
-                tokens.append(SENTENCE_BOUNDARY)
-        else:
-            tokens.append(tok.lower())
-    return tokens
+    raw = _TOKEN_RE.findall(text)
+    # each distinct token is lowercased once
+    lowered = {
+        tok: SENTENCE_BOUNDARY if tok in _SENTENCE_MARKS else tok.lower() for tok in set(raw)
+    }
+    return list(map(lowered.__getitem__, raw))
 
 
 def stem(token: str) -> str:
@@ -125,6 +122,7 @@ class Taxonomy:
         self._match_index: dict[tuple[str, ...], str] = {}
         # first stemmed token -> candidate phrases, longest first
         self._candidates: dict[str, list[tuple[tuple[str, ...], str]]] = {}
+        self._composites: list[TaxonomyTerm] = []
         for term in terms:
             if term.term_id in self.terms:
                 raise ValueError(f"duplicate term id: {term.term_id}")
@@ -194,6 +192,7 @@ class Taxonomy:
             self._candidates.setdefault(phrase[0], []).append((phrase, term_id))
         for cands in self._candidates.values():
             cands.sort(key=lambda pt: (-len(pt[0]), pt[0]))
+        self._composites = [t for t in self.terms.values() if t.is_composite]
 
     def _check_broader_acyclic(self) -> None:
         state: dict[str, int] = {}  # 0 visiting, 1 done
@@ -227,7 +226,7 @@ class Taxonomy:
         return closure
 
     def composite_terms(self) -> list[TaxonomyTerm]:
-        return [t for t in self.terms.values() if t.is_composite]
+        return list(self._composites)
 
 
 _TERM_KEYS = ("term", "pref", "alt", "broader", "composite")
@@ -301,30 +300,25 @@ def _match_stream(
 
     Returns per-term occurrence counts and the list of (term_id, sentence
     index) for every match.  Sentence sentinels never match a label, so a
-    phrase cannot span a sentence boundary.
+    phrase cannot span a sentence boundary.  Only positions whose stem can
+    start a label are visited; a sentence index is the number of sentinels
+    before the match.
     """
+    candidates = taxonomy._candidates
+    boundaries = [i for i, tok in enumerate(stems) if tok == SENTENCE_BOUNDARY]
     counts: Counter[str] = Counter()
     hits: list[tuple[str, int]] = []
-    sentence = 0
-    i = 0
-    n = len(stems)
-    while i < n:
-        tok = stems[i]
-        if tok == SENTENCE_BOUNDARY:
-            sentence += 1
-            i += 1
+    free = 0  # first position not consumed by an earlier match
+    for i in [i for i, tok in enumerate(stems) if tok in candidates]:
+        if i < free:
             continue
-        matched = False
-        for phrase, term_id in taxonomy._candidates.get(tok, ()):
+        for phrase, term_id in candidates[stems[i]]:
             length = len(phrase)
-            if i + length <= n and tuple(stems[i:i + length]) == phrase:
+            if length == 1 or tuple(stems[i:i + length]) == phrase:
                 counts[term_id] += 1
-                hits.append((term_id, sentence))
-                i += length
-                matched = True
+                hits.append((term_id, bisect_left(boundaries, i)))
+                free = i + length
                 break
-        if not matched:
-            i += 1
     return counts, hits
 
 
@@ -343,8 +337,9 @@ def extract_keywords(
     if max_results < 1:
         raise ValueError("max_results must be >= 1")
     tokens = tokenize(fulltext)
-    stems = [t if t == SENTENCE_BOUNDARY else stem(t) for t in tokens]
-    counts, hits = _match_stream(stems, taxonomy)
+    # each distinct token is stemmed once
+    stemmed = {t: t if t == SENTENCE_BOUNDARY else stem(t) for t in set(tokens)}
+    counts, hits = _match_stream(list(map(stemmed.__getitem__, tokens)), taxonomy)
 
     sentences_with: dict[str, set[int]] = defaultdict(set)
     for term_id, sentence in hits:
@@ -354,7 +349,7 @@ def extract_keywords(
     for term_id, count in counts.items():
         term = taxonomy.terms[term_id]
         results.append(KeywordAssignment(term_id, term.pref_label, count))
-    for term in taxonomy.composite_terms():
+    for term in taxonomy._composites:
         a, b = term.composite_of  # type: ignore[misc]
         shared = sentences_with[a] & sentences_with[b]
         if shared:

@@ -7,11 +7,59 @@ beyond the data types they need to read.
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 
 import numpy as np
 
-from biblioforge.taxonomy import SENTENCE_BOUNDARY, KeywordAssignment, stem, tokenize
+from biblioforge.taxonomy import SENTENCE_BOUNDARY, KeywordAssignment, stem
+
+_NAIVE_TOKEN_RE = re.compile(r"[^\W_]+(?:-[^\W_]+)*|[.!?]")
+
+
+def naive_tokenize(text: str) -> list[str]:
+    """One regex match at a time: lowercase words, a sentinel per sentence break.
+
+    A period, question mark or exclamation mark is a sentence break when
+    the next character is whitespace or the text ends there.
+    """
+    tokens: list[str] = []
+    for m in _NAIVE_TOKEN_RE.finditer(text):
+        tok = m.group(0)
+        if tok in (".", "!", "?"):
+            end = m.end()
+            if end >= len(text) or text[end].isspace():
+                tokens.append(SENTENCE_BOUNDARY)
+        else:
+            tokens.append(tok.lower())
+    return tokens
+
+
+def naive_find_journal(text: str, kb):
+    """Every start (0 and after each comma) re-tokenized, every prefix normalized.
+
+    Returns (canonical title, end offset) of the longest alias among the
+    first eight tokens at the first start that has one, or None.
+    """
+
+    def normalize(alias: str) -> str:
+        return " ".join(alias.upper().replace(".", "").replace("&", " ").split())
+
+    starts = [0] + [m.end() for m in re.finditer(",", text)]
+    for start in starts:
+        tokens = list(re.finditer(r"\S+", text[start:]))
+        if not tokens:
+            continue
+        first = tokens[0].start()
+        hit = None
+        for tok in tokens[:8]:
+            prefix = text[start + first:start + tok.end()]
+            canonical = kb.alias_index.get(normalize(prefix))
+            if canonical is not None:
+                hit = (canonical, start + tok.end())
+        if hit is not None:
+            return hit
+    return None
 
 
 def naive_keyword_scan(text: str, taxonomy, max_results: int = 10):
@@ -20,7 +68,7 @@ def naive_keyword_scan(text: str, taxonomy, max_results: int = 10):
     Re-derives single-term counts and sentence co-occurrence for composites
     without the candidate index used by the real implementation.
     """
-    tokens = [t if t == SENTENCE_BOUNDARY else stem(t) for t in tokenize(text)]
+    tokens = [t if t == SENTENCE_BOUNDARY else stem(t) for t in naive_tokenize(text)]
     sentences: list[list[str]] = [[]]
     for tok in tokens:
         if tok == SENTENCE_BOUNDARY:
@@ -34,7 +82,7 @@ def naive_keyword_scan(text: str, taxonomy, max_results: int = 10):
             continue
         for label in term.labels():
             stems = tuple(
-                stem(t) for t in tokenize(label) if t != SENTENCE_BOUNDARY
+                stem(t) for t in naive_tokenize(label) if t != SENTENCE_BOUNDARY
             )
             phrases.append((stems, term.term_id))
 

@@ -14,6 +14,7 @@ from biblioforge import (
     FieldQuery,
     QueryClause,
     RecordStore,
+    StorageFailure,
     match_query,
     register_alert,
     run_alert_batch,
@@ -128,6 +129,27 @@ class TestRegister:
 
 def _sub(alert_id: str, clause: QueryClause, t0: int = 100) -> AlertSubscription:
     return AlertSubscription(alert_id, FieldQuery((clause,)), "owner", t0, t0)
+
+
+class TestFailedWrites:
+    """A failed write raises StorageFailure and leaves no temporary file behind."""
+
+    def test_subscription_save(self, tmp_path):
+        alerts = AlertStore(tmp_path / "alerts")
+        sub = _sub("a1", QueryClause("title", "contains", "t"))
+        (alerts.root / "a1.alert").mkdir()  # the rename onto a directory fails
+        with pytest.raises(StorageFailure):
+            alerts.save(sub)
+        assert list(alerts.root.glob("*.tmp")) == []
+
+    def test_notification_write(self, tmp_path):
+        notes_dir = tmp_path / "notes"
+        (notes_dir / "200" / "a1.tsv").mkdir(parents=True)
+        records = [BibRecord("r1", "Fresh result", ingest_time=150)]
+        sub = _sub("a1", QueryClause("title", "contains", "fresh"))
+        with pytest.raises(StorageFailure):
+            run_alert_batch(records, [sub], 200, notifications_dir=notes_dir)
+        assert list((notes_dir / "200").glob("*.tmp")) == []
 
 
 class TestRunBatch:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import shutil
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biblioforge import RecordStore
 from biblioforge.cli import dispatch
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -180,6 +182,23 @@ class TestReferencePipeline:
         scores = {line.split("\t")[0]: float(line.split("\t")[1]) for line in out.splitlines()}
         assert abs(sum(scores.values()) - 1.0) < 1e-9
         assert max(scores, key=scores.get) == "r01"
+
+
+    def test_tab_in_reference_line_keeps_the_record_readable(self, capsys, workspace, tmp_path):
+        records = tmp_path / "probe.rec"
+        records.write_text("id: p1\ntitle: Tab probe\nfulltext: ft/p1.txt\n", encoding="utf-8")
+        store = workspace["store"]
+        assert run(capsys, "ingest", str(records), "--store-dir", str(store))[0] == 0
+        (store / "ft").mkdir()
+        (store / "ft" / "p1.txt").write_text(
+            "Body.\n\nReferences\n[1] A. Author,\tPhys. Rev. A 10 (2000) 100\n", encoding="utf-8"
+        )
+        assert run(capsys, "refextract", "--store-dir", str(store)) == (0, "p1\t1\n", "")
+        code, _, err = run(capsys, "citegraph", "--store-dir", str(store))
+        assert code == 0, err
+        (entry,) = RecordStore(store).get("p1").references
+        assert entry.raw == "[1] A. Author, Phys. Rev. A 10 (2000) 100"
+        assert (entry.journal, entry.volume, entry.page) == ("Phys. Rev., A", "10", "100")
 
 
 class TestUsageCommands:
@@ -371,6 +390,17 @@ class TestConfigWiring:
             capsys, "export", "bibtex", "r01", "--config", str(cfg), "--store-dir", str(empty)
         )
         assert code == 1
+
+    def test_removed_composite_window_key_only_warns(self, capsys, workspace, caplog):
+        ingest_corpus(capsys, workspace)
+        cfg = workspace["root"] / "old.cfg"
+        cfg.write_text(
+            f"store_dir: {workspace['store']}\ncomposite_window: sentence\n", encoding="utf-8"
+        )
+        with caplog.at_level(logging.WARNING):
+            code, out, _ = run(capsys, "export", "bibtex", "r01", "--config", str(cfg))
+        assert code == 0 and out.startswith("@article{r01,")
+        assert "unknown key 'composite_window'" in caplog.text
 
     def test_bad_config_value(self, capsys, workspace):
         cfg = workspace["root"] / "bad.cfg"

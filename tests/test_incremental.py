@@ -134,6 +134,22 @@ class TestInvalidation:
         assert "full text missing for r04" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [keywords, refextract])
+def test_dropped_full_text_removes_the_sidecar(ws, command):
+    probe = ws["root"] / "p1.rec"
+    probe.write_text("id: p1\ntitle: Probe\nfulltext: ft/r01.txt\n", encoding="utf-8")
+    assert dispatch(["ingest", str(probe), "--store-dir", str(ws["store"])]) == 0
+    assert "p1\t" in command(ws)
+    store = RecordStore(ws["store"])
+    assert store.get("p1").keywords or store.get("p1").references
+
+    probe.write_text("id: p1\ntitle: Probe\n", encoding="utf-8")
+    assert dispatch(["ingest", str(probe), "--store-dir", str(ws["store"])]) == 0
+    assert "p1\t" not in command(ws)
+    assert store.get("p1").keywords == [] and store.get("p1").references == []
+    assert list(ws["store"].glob("p1.*.tsv")) == []
+
+
 class TestSettingsInvalidate:
     def test_taxonomy_file(self, ws, counted):
         keywords(ws)

@@ -13,10 +13,12 @@ from biblioforge import (
     BibRecord,
     CitationEntry,
     FieldQuery,
+    KeywordAssignment,
     MalformedLine,
     MissingField,
     QueryClause,
     RecordStore,
+    StorageFailure,
     UnknownRecord,
     export_bibtex,
     extract_keywords,
@@ -167,6 +169,22 @@ class TestStore:
             store.upsert(BibRecord("r1", "T", authors=[f"A.{char}Pepe"]))
         assert store.record_ids() == ["r1"]
         assert store.get("r1").title == "Fine"
+
+    def test_failed_write_leaves_no_temporary_file(self, store: RecordStore):
+        (store.root / "r1.rec").mkdir()  # the rename onto a directory fails
+        with pytest.raises(StorageFailure):
+            store.upsert(BibRecord("r1", "T"))
+        assert list(store.root.glob("*.tmp")) == []
+
+    @pytest.mark.parametrize("char", list("\t\n\r\x1c\u2028"))
+    def test_sidecar_value_that_would_split_a_row_rejected(self, store: RecordStore, char):
+        store.upsert(BibRecord("p1", "T"))
+        with pytest.raises(ValueError, match="p1"):
+            store.write_refs_sidecar("p1", [CitationEntry(raw=f"[1] A. Author,{char}B")])
+        with pytest.raises(ValueError, match="p1"):
+            store.write_keywords_sidecar("p1", [KeywordAssignment("t1", f"a{char}b", 1)])
+        assert sorted(p.name for p in store.root.iterdir()) == ["p1.rec"]
+        assert store.get("p1").references == [] and store.get("p1").keywords == []
 
     @given(title=st.text(min_size=1, max_size=20).map(str.strip).filter(bool))
     @settings(max_examples=200)

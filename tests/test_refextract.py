@@ -26,7 +26,9 @@ from biblioforge import (
     parse_entry,
     segment_entries,
 )
-from biblioforge.refextract import _segment_with_markers
+from biblioforge.refextract import _find_journal, _segment_with_markers
+
+from .oracles import naive_find_journal
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -107,6 +109,90 @@ class TestLocateSection:
         text = "Literatur\n[1] a\n[2] b\n[3] c\n"
         span = locate_reference_section(text, heading_patterns=[r"^literatur$"])
         assert span == (0, len(text))
+
+
+_HEADINGS = ["References", "  2. Bibliography:", "REFERENCE LIST.", "references ", "10) References"]
+_NOT_HEADINGS = [
+    "Intro text.",
+    "",
+    "[1] A. Author, Phys. Rev. A 10 (2000) 100",
+    "2. B. Author, JHEP 3 (2001) 4",
+    "[3] C. Author",
+    "we cite the references below",
+    "Bibliography of sorts",
+    "References\tand more",
+]
+_LINE_ENDS = ["\n", "\r\n", "\r", "\u2028", "\x1c", "\x85"]
+
+
+@st.composite
+def _located_documents(draw):
+    """(text, offsets of its heading lines) for a document of sampled lines."""
+    lines = draw(st.lists(st.sampled_from(_HEADINGS + _NOT_HEADINGS), max_size=14))
+    ends = draw(st.lists(st.sampled_from(_LINE_ENDS), min_size=len(lines), max_size=len(lines)))
+    if lines and draw(st.booleans()):
+        ends[-1] = ""  # no line break after the last line
+    text, headings = "", []
+    for line, end in zip(lines, ends):
+        if line in _HEADINGS:
+            headings.append(len(text))
+        text += line + end
+    return text, headings
+
+
+class TestLocateSectionProperties:
+    @given(_located_documents())
+    @settings(max_examples=200)
+    def test_span_starts_at_last_heading_line(self, document):
+        text, headings = document
+        span = locate_reference_section(text)
+        if headings:
+            assert span == (headings[-1], len(text))
+        else:
+            assert span is None or re.match(r"\[\d+\]|\d+\.", text[span[0]:])
+
+
+def _tricky_kb() -> JournalKB:
+    """Aliases sharing word prefixes, an ampersand alias and one that normalizes to ""."""
+    return JournalKB(
+        [
+            KBEntry("Phys", ["Phys."]),
+            KBEntry("Phys Rev", ["Phys. Rev."]),
+            KBEntry("Phys Rev Lett", ["Phys. Rev. Lett.", "PRL"]),
+            KBEntry("A and B", ["A&B", "A. & B. Lett."]),
+            KBEntry("Dot", ["."]),
+        ]
+    )
+
+
+_JOINS = [" ", "", ",", ", ", ".", ". ", "&", " & ", "\t", ",,"]
+
+
+class TestFindJournalOracle:
+    @pytest.mark.parametrize("which", ["packaged", "tricky"])
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_equals_naive_lookup(self, kb, which, data):
+        kb = kb if which == "packaged" else _tricky_kb()
+        words = {w for alias in kb.alias_index for w in alias.split()}
+        words |= {w.title() for w in words} | {"A.", "Phys.", "Rev.", "et", "al", "10", "&", "."}
+        pieces = data.draw(st.lists(st.sampled_from(sorted(words)), max_size=14))
+        joins = data.draw(
+            st.lists(st.sampled_from(_JOINS), min_size=len(pieces), max_size=len(pieces))
+        )
+        text = "".join(piece + join for piece, join in zip(pieces, joins))
+        assert _find_journal(text, kb) == naive_find_journal(text, kb)
+
+    def test_comma_inside_a_token_starts_a_candidate(self, kb):
+        text = "A. Author,Phys. Rev. A 10"
+        assert _find_journal(text, kb) == naive_find_journal(text, kb) == (
+            "Phys. Rev., A",
+            text.index(" 10"),
+        )
+
+    def test_token_that_normalizes_to_nothing_extends_the_match(self):
+        text = "B. Author, Phys. Rev. & 7"
+        assert _find_journal(text, _tricky_kb()) == ("Phys Rev", text.index(" 7"))
 
 
 class TestSegmentEntries:

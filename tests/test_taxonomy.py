@@ -25,7 +25,7 @@ from biblioforge import (
     tokenize,
 )
 
-from .oracles import naive_keyword_scan, whitespace_punct_token_count
+from .oracles import naive_keyword_scan, naive_tokenize, whitespace_punct_token_count
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -272,6 +272,56 @@ class TestKeywordProperties:
         for ka in extract_keywords(text, taxonomy20, 50):
             if ka.component_counts is not None:
                 assert 1 <= ka.occurrence <= min(ka.component_counts)
+
+
+# Every code point str.isspace accepts: one per whitespace class and more.
+_WHITESPACE = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+# Characters whose handling differs between plausible tokenizers: "İ" grows
+# when lowercased, "_" is a word character for regex \w but separates here,
+# "\x1c" and U+2028 are whitespace that is not a space.
+_TRICKY = ["İ", "_", "\x1c", "\u2028", "-", ".", "!", "?", "ß", "ǅ", "٣", "\u0301"]
+
+
+class TestTokenizeOracle:
+    @given(st.text(alphabet=st.one_of(st.characters(), st.sampled_from(_TRICKY + _WHITESPACE))))
+    @settings(max_examples=300)
+    def test_equals_naive_tokenizer_on_unicode_text(self, text):
+        assert tokenize(text) == naive_tokenize(text)
+
+    @pytest.mark.parametrize("mark", [".", "!", "?"])
+    def test_sentence_mark_before_every_whitespace_and_at_end(self, mark):
+        for ws in _WHITESPACE:
+            text = f"Word{mark}{ws}next{mark}x{mark}"
+            assert tokenize(text) == naive_tokenize(text), repr(ws)
+        assert tokenize(mark) == naive_tokenize(mark) == [SENTENCE_BOUNDARY]
+        assert tokenize(f"a{mark}_") == naive_tokenize(f"a{mark}_") == ["a"]
+
+
+_PIECES = _VOCAB + ["Fermions", "SCALAR", "Field", "field-theory", "magnetic-moment",
+                    "ghosts", "İ", "_", "3.5", ",", ".", "!", "?", "-"]
+_SEPARATORS = [" ", "  ", "\n", "\t", "", "\u2028", ". ", "! ", "? "]
+
+
+@st.composite
+def _rough_documents(draw):
+    pieces = draw(st.lists(st.sampled_from(_PIECES), max_size=40))
+    seps = draw(st.lists(st.sampled_from(_SEPARATORS), min_size=len(pieces), max_size=len(pieces)))
+    return "".join(piece + sep for piece, sep in zip(pieces, seps))
+
+
+class TestKeywordOracleOnRoughText:
+    @given(_rough_documents(), st.integers(min_value=1, max_value=12))
+    @settings(max_examples=150)
+    def test_equals_naive_scan(self, taxonomy20, text, max_results):
+        assert extract_keywords(text, taxonomy20, max_results) == naive_keyword_scan(
+            text, taxonomy20, max_results
+        )
+
+    def test_composite_terms_are_indexed_once(self, taxonomy20):
+        composites = taxonomy20.composite_terms()
+        assert composites == [t for t in taxonomy20.terms.values() if t.is_composite]
+        composites.clear()
+        assert taxonomy20.composite_terms()
 
 
 def _single(term_ids):
