@@ -163,7 +163,7 @@ def run_alert_batch(
     to ``<dir>/<now>/<alert_id>.tsv`` (record id and title per row) before
     its watermark is persisted through ``alert_store``.
     """
-    records = sorted_records(store)
+    records = sorted_records(store, references=False)  # queries never read references
     titles = {r.record_id: r.title for r in records}
     notifications = []
     for sub in subscriptions:

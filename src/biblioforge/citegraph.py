@@ -37,7 +37,7 @@ def build_graph(store: Iterable[BibRecord]) -> CitationGraph:
     Duplicate citations of one target collapse to a single edge and
     self-citations never become edges.
     """
-    records = sorted_records(store)
+    records = sorted_records(store, keywords=False)
     graph = CitationGraph(nodes={r.record_id for r in records})
 
     by_report: dict[str, str] = {}

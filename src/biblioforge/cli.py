@@ -164,13 +164,14 @@ def cmd_ingest(args, cfg: Config, out) -> None:
 def _records_with_text(store: RecordStore, settings: str, sidecar: str):
     """Yield (record, full text, input digest) for every stored record with a full text.
 
-    The digest covers the command's settings digest and the full text, so
-    it changes whenever anything the extractor reads does.  A record
-    without a full text loses the command's ``sidecar`` (``.keys.tsv`` or
-    ``.refs.tsv``), if it has one: its rows describe a text the record no
-    longer names.
+    Each record is read with the command's ``sidecar`` (``.keys.tsv`` or
+    ``.refs.tsv``) only.  The digest covers the command's settings digest
+    and the full text, so it changes whenever anything the extractor reads
+    does.  A record without a full text loses the command's sidecar, if it
+    has one: its rows describe a text the record no longer names.
     """
-    for record in store.iter_records():
+    keywords = sidecar == ".keys.tsv"
+    for record in store.iter_records(keywords=keywords, references=not keywords):
         path = store.fulltext_file(record)
         if path is None:
             store.remove_sidecar(record.record_id, sidecar)

@@ -12,6 +12,13 @@ inputs its rows were computed from, written in the same file so that it
 always describes the rows beside it.  Sidecars without that line stay
 readable; their rows are simply recomputed by the next enrichment run.
 
+``RecordStore.get`` opens the ``.rec`` file and only the sidecars its
+caller asks for, one ``open`` per file and no separate existence check.
+``keywords`` and ``alerts run`` read ``.rec`` and ``.keys.tsv``;
+``refextract`` and ``citegraph`` read ``.rec`` and ``.refs.tsv``;
+``export bibtex`` reads all three.  A damaged sidecar therefore fails only
+the commands that read it.
+
 Parsing and query matching are pure functions.  The store supports
 concurrent readers with a single writer; each write goes to a temporary
 file in the store directory and is renamed into place (``write_atomic``,
@@ -98,9 +105,29 @@ def write_atomic(path: Path, content: str) -> None:
         raise StorageFailure(f"write to {path} failed: {exc}") from exc
 
 
-def sorted_records(store) -> list[BibRecord]:
-    """Every record of a store, or of any iterable of records, sorted by id."""
-    records = list(store.iter_records()) if hasattr(store, "iter_records") else list(store)
+def _read_text(path: str) -> str | None:
+    """A store file's text, or None when there is no such file.
+
+    Bytes are decoded without newline translation, which text mode would
+    add at some cost: every store parser splits lines with ``str.splitlines``,
+    which already takes ``\\r\\n`` and ``\\r`` as one break.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except (FileNotFoundError, IsADirectoryError):
+        return None
+    except OSError as exc:
+        raise StorageFailure(f"read of {path} failed: {exc}") from exc
+    return data.decode("utf-8")
+
+
+def sorted_records(store, **parts: bool) -> list[BibRecord]:
+    """Every record of a store, or of any iterable of records, sorted by id.
+
+    ``parts`` (``keywords``, ``references``) pass to a store's ``iter_records``.
+    """
+    records = list(store.iter_records(**parts)) if hasattr(store, "iter_records") else list(store)
     records.sort(key=lambda r: r.record_id)
     return records
 
@@ -125,6 +152,9 @@ def validate_record(record: BibRecord) -> None:
     for value in _serializable_values(record):
         if _LINE_BREAK.search(value):
             raise ValueError(f"field value contains a line break: {value!r}")
+        # parse_record strips each value and refuses an empty one
+        if not value or value != value.strip():
+            raise ValueError(f"field value is blank or has surrounding whitespace: {value!r}")
 
 
 def _serializable_values(record: BibRecord) -> list[str]:
@@ -469,6 +499,7 @@ class RecordStore:
                 raise StorageFailure(f"cannot create store at {self.root}: {exc}") from exc
         elif not self.root.is_dir():
             raise StorageFailure(f"store directory does not exist: {self.root}")
+        self._prefix = os.path.join(self.root, "")
 
     def _path(self, record_id: str, suffix: str) -> Path:
         _check_record_id(record_id)
@@ -486,25 +517,28 @@ class RecordStore:
         write_atomic(self._path(record.record_id, ".rec"), serialize_record(record))
         return record
 
-    def get(self, record_id: str) -> BibRecord:
-        """Load a record, merging reference and keyword sidecars if present."""
-        path = self._path(record_id, ".rec")
-        if not path.is_file():
+    def get(
+        self, record_id: str, *, keywords: bool = True, references: bool = True
+    ) -> BibRecord:
+        """Load a record, merging the keyword and reference sidecars asked for.
+
+        A sidecar left out is neither opened nor decoded, so a damaged one
+        fails only the readers that ask for it.
+        """
+        _check_record_id(record_id)
+        base = self._prefix + record_id
+        text = _read_text(base + ".rec")
+        if text is None:
             raise UnknownRecord(record_id)
-        try:
-            record = parse_record(path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise StorageFailure(f"read of {path} failed: {exc}") from exc
-        refs = self._path(record_id, ".refs.tsv")
-        if refs.is_file():
-            record.references_digest, record.references = _refs_from_rows(
-                refs.read_text(encoding="utf-8")
-            )
-        keys = self._path(record_id, ".keys.tsv")
-        if keys.is_file():
-            record.keywords_digest, record.keywords = _keys_from_rows(
-                keys.read_text(encoding="utf-8")
-            )
+        record = parse_record(text)
+        if references:
+            text = _read_text(base + ".refs.tsv")
+            if text is not None:
+                record.references_digest, record.references = _refs_from_rows(text)
+        if keywords:
+            text = _read_text(base + ".keys.tsv")
+            if text is not None:
+                record.keywords_digest, record.keywords = _keys_from_rows(text)
         return record
 
     def write_refs_sidecar(
@@ -530,7 +564,11 @@ class RecordStore:
             raise StorageFailure(f"removal of {path} failed: {exc}") from exc
 
     def record_ids(self) -> list[str]:
-        return sorted(p.stem for p in self.root.glob("*.rec"))
+        try:
+            names = os.listdir(self.root)
+        except OSError as exc:
+            raise StorageFailure(f"listing of {self.root} failed: {exc}") from exc
+        return sorted(name[:-4] for name in names if name.endswith(".rec") and name != ".rec")
 
     def __len__(self) -> int:
         return len(self.record_ids())
@@ -538,9 +576,10 @@ class RecordStore:
     def __contains__(self, record_id: str) -> bool:
         return self._path(record_id, ".rec").is_file()
 
-    def iter_records(self) -> Iterator[BibRecord]:
+    def iter_records(self, **parts: bool) -> Iterator[BibRecord]:
+        """Every record in id order; ``parts`` (``keywords``, ``references``) go to ``get``."""
         for record_id in self.record_ids():
-            yield self.get(record_id)
+            yield self.get(record_id, **parts)
 
     def fulltext_file(self, record: BibRecord) -> Path | None:
         """Full-text file for a record; relative paths resolve in the store."""

@@ -263,6 +263,9 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
             raise MalformedLine("no key separator", line_no)
         if not value:
             raise MalformedLine(f"empty value for key {key!r}", line_no)
+        if key in _TERM_KEYS and "\t" in value:
+            # a term id or label ends up in a keywords sidecar row, where a tab splits it
+            raise MalformedLine(f"tab in {key!r} value", line_no)
         if key == "term":
             close(current)
             current = TaxonomyTerm(term_id=value, pref_label="")

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import logging
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -155,6 +158,18 @@ class TestKeywordsCommand:
         assert (workspace["store"] / "r01.keys.tsv").is_file()
         # records without full text contribute no rows
         assert not any(r[0] in ("r07", "r08") for r in rows)
+
+    def test_tab_in_taxonomy_label_fails_before_any_sidecar(self, capsys, workspace, tmp_path):
+        ingest_corpus(capsys, workspace)
+        taxonomy = tmp_path / "tab.tax"
+        taxonomy.write_text("term: t_dilaton\npref: dilaton\talpha\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "keywords", "--store-dir", str(workspace["store"]), "--taxonomy", str(taxonomy)
+        )
+        assert code == 1
+        assert out == ""
+        assert "line 2" in err
+        assert list(workspace["store"].glob("*.keys.tsv")) == []
 
 
 class TestReferencePipeline:
@@ -407,3 +422,32 @@ class TestConfigWiring:
         cfg.write_text("damping: not-a-number\n", encoding="utf-8")
         code, _, err = run(capsys, "usage", "top", "--action", "view", "--config", str(cfg))
         assert code == 1
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+
+    def module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "biblioforge", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+
+    result = module("ingest", str(CORPUS / "records.rec"), "--store-dir", str(tmp_path / "store"))
+    assert (result.returncode, result.stdout) == (0, "ingested\t8\n")
+    result = module("frobnicate")
+    assert result.returncode == 1
+    assert "usage: biblioforge" in result.stderr
+
+
+def test_ci_workflow_runs_both_suites():
+    yaml = pytest.importorskip("yaml")
+    path = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
+    workflow = yaml.safe_load(path.read_text(encoding="utf-8"))
+    [job] = workflow["jobs"].values()
+    assert [str(v) for v in job["strategy"]["matrix"]["python-version"]] == ["3.10", "3.11"]
+    commands = "\n".join(step.get("run", "") for step in job["steps"])
+    for needed in ("pytest hypothesis numpy", "python -m pytest -q", "python3 -m pytest bench/ -q"):
+        assert needed in commands

@@ -196,6 +196,66 @@ class TestStore:
             return
         assert store.get("r1").title == title
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            BibRecord("x", "T", journal=""),
+            BibRecord("x", "T", volume=" "),
+            BibRecord("x", "T", page="\u3000"),
+            BibRecord("x", "T", fulltext_path=""),
+            BibRecord("x", "T", authors=["A. Pepe", ""]),
+            BibRecord("x", "T", report_numbers=["\x1f"]),
+            BibRecord("x", "T", references=[CitationEntry(raw=" ")]),
+        ],
+    )
+    def test_blank_value_rejected(self, store: RecordStore, record):
+        # parse_record refuses an empty value, so the record could never be read back
+        with pytest.raises(ValueError, match="blank"):
+            store.upsert(record)
+        assert store.record_ids() == []
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            BibRecord(" x", "T"),
+            BibRecord("x", "T "),
+            BibRecord("x", "T", journal="\tPhys. Rev."),
+            BibRecord("x", "T", authors=["A. Pepe\xa0"]),
+            BibRecord("x", "T", fulltext_path="ft/x.txt "),
+        ],
+    )
+    def test_value_with_surrounding_whitespace_rejected(self, store: RecordStore, record):
+        # parse_record strips every value, so it would come back changed
+        with pytest.raises(ValueError, match="whitespace"):
+            store.upsert(record)
+        assert store.record_ids() == []
+
+    @given(
+        record=st.builds(
+            BibRecord,
+            record_id=st.text(min_size=1, max_size=12),
+            title=st.text(max_size=12),
+            authors=st.lists(st.text(max_size=12), max_size=3),
+            year=st.none() | st.integers(min_value=1700, max_value=2200),
+            journal=st.none() | st.text(max_size=12),
+            volume=st.none() | st.text(max_size=6),
+            page=st.none() | st.text(max_size=6),
+            report_numbers=st.lists(st.text(max_size=12), max_size=2),
+            fulltext_path=st.none() | st.text(max_size=12),
+            references=st.lists(st.builds(CitationEntry, raw=st.text(max_size=12)), max_size=2),
+            ingest_time=st.none() | st.integers(min_value=-5, max_value=2**40),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_accepted_record_reads_back_equal(self, tmp_path_factory, record):
+        store = RecordStore(tmp_path_factory.mktemp("records"))
+        try:
+            stored = store.upsert(record)
+        except ValueError:
+            return
+        assert store.get(stored.record_id) == stored
+        assert store.record_ids() == [stored.record_id]
+
     @pytest.mark.parametrize("record_id", ["../other/x", "..", "a\\b", "", "x\u2028y"])
     def test_get_rejects_ids_outside_the_store(self, tmp_path: Path, record_id):
         (tmp_path / "other").mkdir()

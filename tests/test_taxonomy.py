@@ -14,6 +14,7 @@ from biblioforge import (
     DanglingReference,
     DuplicateLabel,
     KeywordAssignment,
+    MalformedLine,
     MissingField,
     SENTENCE_BOUNDARY,
     Taxonomy,
@@ -155,6 +156,22 @@ class TestLoadTaxonomy:
         path.write_text("term: a\npref: Magnetic   Moment\n", encoding="utf-8")
         taxonomy = load_taxonomy(path)
         assert "magnetic moment" in taxonomy.label_index
+
+    @pytest.mark.parametrize(
+        "line_no, key, text",
+        [
+            (1, "term", "term: t\tdilaton\npref: dilaton\n"),
+            (2, "pref", "term: t_dilaton\npref: dilaton\talpha\n"),
+            (3, "alt", "term: t_dilaton\npref: dilaton\nalt: dilaton\tfield\n"),
+        ],
+    )
+    def test_tab_in_id_or_label_rejected_with_its_line(self, tmp_path, line_no, key, text):
+        # a keywords sidecar row could not hold the id or label
+        path = tmp_path / "tab.tax"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(MalformedLine, match=key) as exc:
+            load_taxonomy(path)
+        assert exc.value.line_no == line_no
 
     def test_every_label_indexed(self, taxonomy20):
         for term in taxonomy20.terms.values():
