@@ -13,13 +13,21 @@ concurrently with readers but not with a batch run.
 from __future__ import annotations
 
 import logging
+import os
 import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import MalformedLine, MissingField, StorageFailure
-from .records import FieldQuery, match_query, parse_clause, sorted_records, write_atomic
+from .records import (
+    _LINE_BREAK,
+    FieldQuery,
+    match_query,
+    parse_clause,
+    sorted_records,
+    write_atomic,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -63,6 +71,17 @@ def serialize_subscription(sub: AlertSubscription) -> str:
     return "\n".join(lines) + "\n"
 
 
+_SINGLE_KEYS = ("alert_id", "owner", "created", "last_run")
+
+
+def _check_storable(what: str, value: str) -> None:
+    """Reject a value that parse_subscription would not read back unchanged."""
+    if _LINE_BREAK.search(value):
+        raise ValueError(f"{what} holds a line break: {value!r}")
+    if value != value.strip():
+        raise ValueError(f"{what} has leading or trailing whitespace: {value!r}")
+
+
 def parse_subscription(text: str) -> AlertSubscription:
     singles: dict[str, str] = {}
     clauses = []
@@ -75,11 +94,13 @@ def parse_subscription(text: str) -> AlertSubscription:
         key, value = key.strip(), value.strip()
         if key == "clause":
             clauses.append(parse_clause(value))
-        elif key in ("alert_id", "owner", "created", "last_run"):
+        elif key in _SINGLE_KEYS:
+            if key in singles:
+                raise MalformedLine(f"duplicate key {key!r}", line_no)
             singles[key] = value
         else:
             logger.warning("subscription line %d: ignoring unknown key %r", line_no, key)
-    for key in ("alert_id", "owner", "created", "last_run"):
+    for key in _SINGLE_KEYS:
         if key not in singles:
             raise MissingField(key, "subscription")
     return AlertSubscription(
@@ -117,14 +138,26 @@ class AlertStore:
         return parse_subscription(path.read_text(encoding="utf-8"))
 
     def load_all(self) -> list[AlertSubscription]:
-        subs = [
-            parse_subscription(p.read_text(encoding="utf-8"))
-            for p in self.root.glob("*.alert")
-        ]
+        try:
+            with os.scandir(self.root) as entries:
+                paths = [e.path for e in entries if e.name.endswith(".alert") and e.is_file()]
+        except OSError as exc:
+            raise StorageFailure(f"listing of {self.root} failed: {exc}") from exc
+        subs = [parse_subscription(Path(p).read_text(encoding="utf-8")) for p in paths]
         subs.sort(key=lambda s: s.alert_id)
         return subs
 
     def register(self, query: FieldQuery, owner: str, now: int | None = None) -> AlertSubscription:
+        """Persist a new subscription; created and last_run start at ``now``.
+
+        Raises ValueError when the owner or a text clause value holds a line
+        break or leading or trailing whitespace, which the file could not
+        hold unchanged.
+        """
+        _check_storable("owner", owner)
+        for clause in query.clauses:
+            if isinstance(clause.value, str):
+                _check_storable("clause value", clause.value)
         stamp = int(time.time()) if now is None else now
         sub = AlertSubscription(
             alert_id=uuid.uuid4().hex,

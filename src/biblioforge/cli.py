@@ -32,7 +32,10 @@ from .records import (
 )
 from .refextract import extract_references, load_journal_kb
 from .taxonomy import extract_keywords, load_taxonomy
-from .usage import read_log, co_view_recommend, top_k
+# read_log is not called here, but stays importable from this module: the
+# benchmark's tracer (bench/tracing.py) wraps it, top_k and co_view_recommend
+# by name.
+from .usage import LogScan, co_view_recommend, read_log, top_k  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -238,22 +241,31 @@ def _require_log(cfg: Config) -> Path:
     return cfg.log_path
 
 
+@contextlib.contextmanager
+def _log_scan(cfg: Config):
+    """Events of the configured log; the skipped count is printed after the scan."""
+    scan = LogScan()
+    try:
+        yield scan.read(_require_log(cfg))
+    finally:
+        if scan.skipped:
+            print(f"skipped {scan.skipped} malformed log lines", file=sys.stderr)
+
+
 def cmd_usage_top(args, cfg: Config, out) -> None:
-    events, skipped = read_log(_require_log(cfg))
-    if skipped:
-        print(f"skipped {skipped} malformed log lines", file=sys.stderr)
     window = None
     if args.window_from is not None or args.window_to is not None:
         window = (args.window_from, args.window_to)
-    for record_id, count in top_k(events, args.action, args.k, window):
+    with _log_scan(cfg) as events:
+        rows = top_k(events, args.action, args.k, window)
+    for record_id, count in rows:
         out.write(f"{record_id}\t{count}\n")
 
 
 def cmd_usage_recommend(args, cfg: Config, out) -> None:
-    events, skipped = read_log(_require_log(cfg))
-    if skipped:
-        print(f"skipped {skipped} malformed log lines", file=sys.stderr)
-    for record_id, strength in co_view_recommend(events, args.record_id, args.k):
+    with _log_scan(cfg) as events:
+        rows = co_view_recommend(events, args.record_id, args.k)
+    for record_id, strength in rows:
         out.write(f"{record_id}\t{strength}\n")
 
 

@@ -565,10 +565,15 @@ class RecordStore:
 
     def record_ids(self) -> list[str]:
         try:
-            names = os.listdir(self.root)
+            with os.scandir(self.root) as entries:
+                ids = [
+                    entry.name[:-4]
+                    for entry in entries
+                    if entry.name.endswith(".rec") and entry.name != ".rec" and entry.is_file()
+                ]
         except OSError as exc:
             raise StorageFailure(f"listing of {self.root} failed: {exc}") from exc
-        return sorted(name[:-4] for name in names if name.endswith(".rec") and name != ".rec")
+        return sorted(ids)
 
     def __len__(self) -> int:
         return len(self.record_ids())

@@ -2,17 +2,26 @@
 
 The log format is TSV with four columns per line: timestamp (seconds since
 epoch), pre-anonymized visitor token, record id, action (``view`` or
-``download``).  Malformed lines are skipped and counted by the batch
-reader, never fatal.  All reports are pure functions of the event multiset.
+``download``).  Malformed lines, including lines that are not valid UTF-8,
+are skipped and counted, never fatal; entirely blank lines are ignored.
+All reports are pure functions of the event multiset.
+
+A ``LogScan`` reads a log file in binary blocks of ``BLOCK_SIZE`` bytes and
+yields each valid event as a plain ``(timestamp, visitor_id, record_id,
+action)`` tuple, so the reports count while the file is read: ``top_k``
+holds one counter per distinct record, ``co_view_recommend`` one visitor
+set per viewed record (the distinct view pairs), and neither holds the
+events.  ``read_log`` and ``events_from_lines`` run the same scan and
+return lists of ``UsageEvent``.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 from .errors import MalformedLine, UnknownRecord
 
@@ -20,9 +29,11 @@ logger = logging.getLogger(__name__)
 
 ACTIONS = ("view", "download")
 
+# Bytes read per block; a block is extended to the end of its last line.
+BLOCK_SIZE = 64 * 1024
 
-@dataclass(frozen=True, slots=True)
-class UsageEvent:
+
+class UsageEvent(NamedTuple):
     timestamp: int
     visitor_id: str
     record_id: str
@@ -48,22 +59,94 @@ def parse_log_line(line: str) -> UsageEvent:
     return UsageEvent(timestamp, visitor_id, record_id, action)
 
 
+class LogScan:
+    """One pass over a usage log; ``skipped`` counts the malformed lines seen."""
+
+    def __init__(self) -> None:
+        self.skipped = 0
+
+    def parse(self, lines: Iterable[str]) -> Iterator[tuple[int, str, str, str]]:
+        """The valid events of ``lines`` as 4-tuples, in order."""
+        for line in lines:
+            # A line whose fields pass these checks is one parse_log_line
+            # accepts unchanged (its last field is an action, so it has no
+            # trailing whitespace, and int() takes any all-decimal string).
+            # Every other line goes through parse_log_line itself.
+            try:
+                ts_text, visitor_id, record_id, action = line.split("\t")
+            except ValueError:  # not four fields
+                pass
+            else:
+                if (
+                    (action == "view" or action == "download")
+                    and visitor_id
+                    and record_id
+                    and ts_text.isdecimal()
+                ):
+                    timestamp = int(ts_text)
+                    if timestamp > 0:
+                        yield timestamp, visitor_id, record_id, action
+                        continue
+            if not line.strip():
+                continue
+            try:
+                yield parse_log_line(line)
+            except MalformedLine as exc:
+                self.skipped += 1
+                logger.warning("skipping log line: %s", exc)
+
+    def read(self, path: str | Path) -> Iterator[tuple[int, str, str, str]]:
+        """The valid events of the log file at ``path``, read block by block."""
+        return self.parse(chain.from_iterable(self._decoded_blocks(path)))
+
+    def _decoded_blocks(self, path: str | Path) -> Iterator[list[str]]:
+        # Blocks end just after a b"\n" (or at the end of the file), which is
+        # a line boundary of the decoded text too, so splitting each block
+        # gives the lines of str.splitlines on the whole file, apart from
+        # empty ones, which parse ignores.
+        with open(path, "rb") as f:
+            for block in _blocks(f):
+                try:
+                    yield block.decode("utf-8").splitlines()
+                except UnicodeDecodeError:
+                    yield self._decode_each_line(block)
+
+    def _decode_each_line(self, block: bytes) -> list[str]:
+        """The lines of ``block``, less those that are not valid UTF-8."""
+        lines: list[str] = []
+        for raw in block.splitlines():
+            try:
+                lines.extend(raw.decode("utf-8").splitlines())
+            except UnicodeDecodeError as exc:
+                self.skipped += 1
+                logger.warning("skipping log line: %s", exc)
+        return lines
+
+
+def _blocks(f: BinaryIO) -> Iterator[bytes]:
+    """The file's bytes in blocks of whole lines, each about BLOCK_SIZE long."""
+    pending: list[bytes] = []
+    while chunk := f.read(BLOCK_SIZE):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            pending.append(chunk[:cut])
+            yield b"".join(pending)
+            pending = [chunk[cut:]]
+        else:
+            pending.append(chunk)
+    tail = b"".join(pending)
+    if tail:
+        yield tail
+
+
 def events_from_lines(lines: Iterable[str]) -> tuple[list[UsageEvent], int]:
     """Parse many log lines; returns (events, skipped count).
 
     Entirely blank lines are ignored; other malformed lines are counted.
     """
-    events: list[UsageEvent] = []
-    skipped = 0
-    for line in lines:
-        if not line.strip():
-            continue
-        try:
-            events.append(parse_log_line(line))
-        except MalformedLine as exc:
-            skipped += 1
-            logger.warning("skipping log line: %s", exc)
-    return events, skipped
+    scan = LogScan()
+    events = list(map(UsageEvent._make, scan.parse(lines)))
+    return events, scan.skipped
 
 
 def read_log(path: str | Path) -> tuple[list[UsageEvent], int]:
@@ -72,40 +155,13 @@ def read_log(path: str | Path) -> tuple[list[UsageEvent], int]:
     A line that is not valid UTF-8 is skipped and counted like any other
     malformed line.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        return _read_damaged_log(Path(path).read_bytes())
-    return events_from_lines(text.splitlines())
-
-
-def _read_damaged_log(data: bytes) -> tuple[list[UsageEvent], int]:
-    """Decode line by line, skipping the lines that are not valid UTF-8."""
-    lines: list[str] = []
-    undecodable = 0
-    for raw in data.splitlines():
-        try:
-            lines.extend(raw.decode("utf-8").splitlines())
-        except UnicodeDecodeError as exc:
-            undecodable += 1
-            logger.warning("skipping log line: %s", exc)
-    events, skipped = events_from_lines(lines)
-    return events, skipped + undecodable
-
-
-def _in_window(timestamp: int, window: tuple[int | None, int | None] | None) -> bool:
-    if window is None:
-        return True
-    start, end = window
-    if start is not None and timestamp < start:
-        return False
-    if end is not None and timestamp > end:
-        return False
-    return True
+    scan = LogScan()
+    events = list(map(UsageEvent._make, scan.read(path)))
+    return events, scan.skipped
 
 
 def top_k(
-    events: Iterable[UsageEvent],
+    events: Iterable[tuple[int, str, str, str]],
     action: str,
     k: int,
     time_window: tuple[int | None, int | None] | None = None,
@@ -114,39 +170,40 @@ def top_k(
 
     Counts events of the given action inside the inclusive time window;
     ties break by record id ascending, and at most ``k`` rows return.
+    ``events`` are 4-tuples in ``UsageEvent`` field order, read once.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if action not in ACTIONS:
         raise ValueError(f"unknown action: {action!r}")
-    counts: Counter[str] = Counter()
-    for event in events:
-        if event.action == action and _in_window(event.timestamp, time_window):
-            counts[event.record_id] += 1
+    start, end = time_window or (None, None)
+    lo = float("-inf") if start is None else start
+    hi = float("inf") if end is None else end
+    counts = Counter(rid for ts, _, rid, act in events if act == action and lo <= ts <= hi)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return ranked[:k]
 
 
 def co_view_recommend(
-    events: Iterable[UsageEvent], target: str, k: int
+    events: Iterable[tuple[int, str, str, str]], target: str, k: int
 ) -> list[tuple[str, int]]:
     """People-who-viewed-this-also-viewed list for a target record.
 
     Strength is the number of distinct visitors who viewed both the target
     and the other record (views only); the target itself and zero-strength
     rows are omitted.  Raises UnknownRecord when the target never appears
-    in the events at all.
+    in the events at all.  ``events`` are 4-tuples in ``UsageEvent`` field
+    order, read once.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     viewers: dict[str, set[str]] = defaultdict(set)
     seen_target = False
-    for event in events:
-        record_id = event.record_id
+    for _, visitor_id, record_id, action in events:
         if record_id == target:
             seen_target = True
-        if event.action == "view":
-            viewers[record_id].add(event.visitor_id)
+        if action == "view":
+            viewers[record_id].add(visitor_id)
     if not seen_target:
         raise UnknownRecord(target)
     target_viewers = viewers.get(target, set())

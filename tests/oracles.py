@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 
@@ -171,6 +172,46 @@ def naive_top_k(events, action, k, window=None):
         counts[e.record_id] = counts.get(e.record_id, 0) + 1
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return ranked[:k]
+
+
+def naive_read_log(path):
+    """The whole-file log reader: (events as 4-tuples, skipped count).
+
+    Decodes the whole file as text; when that fails, decodes it line by
+    line and counts each line that is not valid UTF-8 as skipped.  Blank
+    lines are ignored; every other line is checked field by field.
+    """
+    path = Path(path)
+    undecodable = 0
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError:
+        lines = []
+        for raw in path.read_bytes().splitlines():
+            try:
+                lines.extend(raw.decode("utf-8").splitlines())
+            except UnicodeDecodeError:
+                undecodable += 1
+    events = []
+    skipped = undecodable
+    for line in lines:
+        if not line.strip():
+            continue
+        parts = line.rstrip().split("\t")
+        if len(parts) != 4:
+            skipped += 1
+            continue
+        ts_text, visitor_id, record_id, action = parts
+        try:
+            timestamp = int(ts_text)
+        except ValueError:
+            skipped += 1
+            continue
+        if timestamp <= 0 or not visitor_id or not record_id or action not in ("view", "download"):
+            skipped += 1
+            continue
+        events.append((timestamp, visitor_id, record_id, action))
+    return events, skipped
 
 
 def naive_co_view(events, target, k):

@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import random
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biblioforge import (
     AlertStore,
     AlertSubscription,
     BibRecord,
     FieldQuery,
+    MalformedLine,
     QueryClause,
     RecordStore,
     StorageFailure,
@@ -19,6 +23,7 @@ from biblioforge import (
     register_alert,
     run_alert_batch,
 )
+from biblioforge.alerts import parse_subscription, serialize_subscription
 
 _TITLES = ["alpha study", "beta notes", "gamma survey", "delta review"]
 _AUTHORS = ["smith", "jones", "garcia", "okafor"]
@@ -125,6 +130,78 @@ class TestRegister:
         query = FieldQuery((QueryClause("author", "contains", "x"),))
         with pytest.raises(ValueError):
             AlertSubscription("a", query, "o", created=10, last_run=5)
+
+
+class TestStoredValues:
+    """Whatever ``register`` accepts, ``load_all`` returns unchanged."""
+
+    @pytest.mark.parametrize("char", list("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"))
+    def test_line_break_refused_in_owner_and_clause_value(self, tmp_path: Path, char):
+        store = AlertStore(tmp_path / "alerts")
+        query = FieldQuery((QueryClause("title", "contains", "x"),))
+        with pytest.raises(ValueError, match="line break"):
+            store.register(query, f"me{char}last_run: 5", now=10)
+        bad = FieldQuery((QueryClause("title", "contains", f"x{char}last_run: 5"),))
+        with pytest.raises(ValueError, match="line break"):
+            store.register(bad, "me", now=10)
+        assert store.load_all() == []
+
+    @pytest.mark.parametrize("value", [" me", "me ", "me\t", "\u3000me"])
+    def test_padded_values_refused(self, tmp_path: Path, value):
+        store = AlertStore(tmp_path / "alerts")
+        query = FieldQuery((QueryClause("title", "contains", "x"),))
+        with pytest.raises(ValueError, match="whitespace"):
+            store.register(query, value, now=10)
+        with pytest.raises(ValueError, match="whitespace"):
+            store.register(FieldQuery((QueryClause("author", "equals", value),)), "me", now=10)
+
+    @pytest.mark.parametrize("key", ["alert_id", "owner", "created", "last_run"])
+    def test_repeated_single_key_is_malformed(self, key):
+        sub = AlertSubscription("a1", FieldQuery((QueryClause("title", "contains", "x"),)), "me", 5, 5)
+        text = serialize_subscription(sub)
+        repeated = text + f"{key}: 9\n"
+        with pytest.raises(MalformedLine) as info:
+            parse_subscription(repeated)
+        assert info.value.line_no == len(text.splitlines()) + 1
+        assert parse_subscription(text) == sub
+
+    def test_directory_named_like_a_subscription_is_skipped(self, tmp_path: Path):
+        store = AlertStore(tmp_path / "alerts")
+        sub = register_alert(store, FieldQuery((QueryClause("title", "contains", "x"),)), "me", now=5)
+        (store.root / "x.alert").mkdir()
+        assert store.load_all() == [sub]
+
+    @given(
+        owner=st.text(),
+        clauses=st.lists(
+            st.one_of(
+                st.builds(
+                    QueryClause,
+                    st.sampled_from(["title", "author", "journal", "report_number", "keyword", "any", "year"]),
+                    st.sampled_from(["contains", "equals"]),
+                    st.text(),
+                ).filter(lambda c: not (c.field == "year" and c.match == "equals")),
+                st.builds(lambda y: QueryClause("year", "equals", y), st.integers()),
+                st.builds(
+                    lambda a, b: QueryClause("year", "range", (min(a, b), max(a, b))),
+                    st.integers(),
+                    st.integers(),
+                ),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        now=st.integers(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_register_round_trip(self, owner, clauses, now):
+        with tempfile.TemporaryDirectory() as tmp:
+            store = AlertStore(tmp)
+            try:
+                sub = store.register(FieldQuery(tuple(clauses)), owner, now=now)
+            except ValueError:
+                return
+            assert store.load_all() == [sub]
 
 
 def _sub(alert_id: str, clause: QueryClause, t0: int = 100) -> AlertSubscription:

@@ -199,6 +199,13 @@ class TestReferencePipeline:
         assert max(scores, key=scores.get) == "r01"
 
 
+    def test_directory_named_like_a_record_is_skipped(self, capsys, workspace):
+        ingest_corpus(capsys, workspace)
+        (workspace["store"] / "old.rec").mkdir()
+        code, out, err = run(capsys, "citegraph", "--store-dir", str(workspace["store"]))
+        assert code == 0, err
+        assert "old" not in out
+
     def test_tab_in_reference_line_keeps_the_record_readable(self, capsys, workspace, tmp_path):
         records = tmp_path / "probe.rec"
         records.write_text("id: p1\ntitle: Tab probe\nfulltext: ft/p1.txt\n", encoding="utf-8")
@@ -297,6 +304,15 @@ class TestUsageCommands:
         assert "skipped 1 malformed log lines" in err
         assert out == "r01\t6\nr02\t4\nr03\t3\nr04\t2\nr06\t2\n"
 
+    def test_recommend_reports_skipped_lines_before_unknown_record(self, capsys, workspace):
+        log = workspace["root"] / "usage.log"
+        log.write_bytes((CORPUS / "usage.log").read_bytes() + b"not a log line\n")
+        argv = ["usage", "recommend", "missing-id", "--store-dir", str(workspace["store"])]
+        code, out, err = run(capsys, *argv, "--log-path", str(log))
+        assert code == 1
+        assert out == ""
+        assert err.index("skipped 1 malformed log lines") < err.index("unknown record: missing-id")
+
     def test_missing_log_is_input_error(self, capsys, workspace):
         code, _, err = run(
             capsys, "usage", "top", "--action", "view", "--store-dir", str(workspace["store"])
@@ -359,6 +375,49 @@ class TestAlertsCommands:
         )
         assert code == 0
         assert out == ""
+
+    def _run_batch(self, capsys, workspace, now: str) -> tuple[int, str, str]:
+        return run(
+            capsys,
+            "alerts",
+            "run",
+            "--now",
+            now,
+            "--store-dir",
+            str(workspace["store"]),
+            "--alerts-dir",
+            str(workspace["alerts"]),
+            "--notifications-dir",
+            str(workspace["notes"]),
+        )
+
+    def test_directory_named_like_a_subscription_is_skipped(self, capsys, workspace):
+        ingest_corpus(capsys, workspace)
+        (workspace["alerts"] / "x.alert").mkdir(parents=True)
+        code, out, err = self._run_batch(capsys, workspace, "5000")
+        assert (code, out) == (0, ""), err
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--clause", "title:contains:x\nlast_run: 5"), ("--owner", "me\u2028last_run: 5")],
+    )
+    def test_line_break_in_a_value_is_refused(self, capsys, workspace, option, value):
+        ingest_corpus(capsys, workspace)
+        argv = {"--owner": "me", "--clause": "author:contains:pepe", option: value}
+        code, out, err = run(
+            capsys,
+            "alerts",
+            "register",
+            *[word for pair in argv.items() for word in pair],
+            "--now",
+            "100",
+            "--alerts-dir",
+            str(workspace["alerts"]),
+        )
+        assert (code, out) == (1, "")
+        assert "line break" in err
+        assert list(workspace["alerts"].iterdir()) == []
+        assert self._run_batch(capsys, workspace, "5000")[0] == 0
 
     def test_register_requires_clause(self, capsys, workspace):
         code, _, _ = run(capsys, "alerts", "register", "--owner", "me")

@@ -170,6 +170,12 @@ class TestStore:
         assert store.record_ids() == ["r1"]
         assert store.get("r1").title == "Fine"
 
+    def test_directory_named_like_a_record_is_not_listed(self, store: RecordStore):
+        store.upsert(BibRecord("r1", "Fine"))
+        (store.root / "old.rec").mkdir()
+        assert store.record_ids() == ["r1"]
+        assert [r.record_id for r in store.iter_records()] == ["r1"]
+
     def test_failed_write_leaves_no_temporary_file(self, store: RecordStore):
         (store.root / "r1.rec").mkdir()  # the rename onto a directory fails
         with pytest.raises(StorageFailure):

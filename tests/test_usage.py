@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import random
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biblioforge import (
@@ -17,9 +21,10 @@ from biblioforge import (
     read_log,
     top_k,
 )
-from biblioforge.usage import events_from_lines
+from biblioforge import usage
+from biblioforge.usage import LogScan, events_from_lines
 
-from .oracles import naive_co_view, naive_top_k
+from .oracles import naive_co_view, naive_read_log, naive_top_k
 
 
 class TestParseLogLine:
@@ -81,6 +86,13 @@ class TestBatchReading:
 
 def _ev(ts, visitor, record, action="view"):
     return UsageEvent(ts, visitor, record, action)
+
+
+class TestUsageEvent:
+    def test_is_a_named_tuple_in_field_order(self):
+        event = UsageEvent(5, "v", "r", "view")
+        assert event == (5, "v", "r", "view")
+        assert (event.timestamp, event.visitor_id, event.record_id, event.action) == tuple(event)
 
 
 class TestTopK:
@@ -210,3 +222,120 @@ class TestUsageProperties:
         if events:
             target = events[0].record_id
             assert co_view_recommend(events, target, 5) == naive_co_view(events, target, 5)
+
+
+# Every break str.splitlines knows, plus the \r\n pair.
+_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_SIMPLE_IDS = st.sampled_from(["v1", "v2", "r1", "r2", "r 3", "r\u00e9"])
+_IDS = st.one_of(_SIMPLE_IDS, _SIMPLE_IDS, st.text(st.characters(blacklist_categories=("Cs",)), max_size=3))
+# Decimal digits of any script, signs, padding and underscores are what
+# int() takes beyond plain ASCII digits; "\u00b2" is a digit int() refuses.
+_TIMESTAMPS = st.one_of(
+    st.integers(min_value=0, max_value=40).map(str),
+    st.sampled_from(["+7", " 8", "9 ", "007", "\u0661\u0662", "1_0", "-4", "\u00b2", "x", ""]),
+)
+_LOG_LINE = st.builds(
+    lambda ts, v, r, a, trail: f"{ts}\t{v}\t{r}\t{a}{trail}".encode(),
+    _TIMESTAMPS,
+    _IDS,
+    _IDS,
+    st.sampled_from(["view", "download", "view", "download", "view ", "print", "View"]),
+    st.sampled_from(["", "", "\t", " ", "\t\t", "\x1f"]),
+)
+_LOG_LINES = st.one_of(
+    _LOG_LINE,
+    _LOG_LINE,
+    st.sampled_from([b"", b"   ", b"\t", b"\x00", b"\xff", b"5\tv\tr\xc3\tview", b"\xe2\x80", b"\x80"]),
+    st.binary(max_size=6),
+)
+
+
+@st.composite
+def _byte_logs(draw) -> bytes:
+    lines = draw(st.lists(_LOG_LINES, max_size=25))
+    breaks = draw(st.lists(st.sampled_from(_BREAKS), min_size=len(lines), max_size=len(lines)))
+    data = b"".join(line + brk.encode() for line, brk in zip(lines, breaks))
+    if draw(st.booleans()) and breaks:
+        data = data[: -len(breaks[-1].encode())]  # no break after the last line
+    return data
+
+
+class TestStream:
+    """The block-wise stream against the whole-file reader it replaced."""
+
+    @given(
+        data=_byte_logs(),
+        block_size=st.integers(min_value=1, max_value=48),
+        window=st.sampled_from([None, (5, 20), (None, 9), (12, None)]),
+        pick=st.integers(min_value=0, max_value=50),
+    )
+    @example(
+        data="\u00b2\tv\tr\tview\n0\tv\tr\tview\n7\t\tr\tview\r\n+7\tv\tr\tview\t\x1c".encode(),
+        block_size=3,
+        window=None,
+        pick=0,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_whole_file_reader(self, data, block_size, window, pick):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "usage.log"
+            path.write_bytes(data)
+            expected, expected_skipped = naive_read_log(path)
+            with mock.patch.object(usage, "BLOCK_SIZE", block_size):
+                scan = LogScan()
+                assert list(scan.read(path)) == expected
+                assert scan.skipped == expected_skipped
+                assert read_log(path) == (expected, expected_skipped)
+
+                oracle_events = [UsageEvent(*e) for e in expected]
+                for action in ("view", "download"):
+                    scan = LogScan()
+                    assert top_k(scan.read(path), action, 3, window) == naive_top_k(
+                        oracle_events, action, 3, window
+                    )
+                    assert scan.skipped == expected_skipped
+                record_ids = sorted({e.record_id for e in oracle_events})
+                targets = [*record_ids, "missing"]
+                target = targets[pick % len(targets)]
+                scan = LogScan()
+                if target in record_ids:
+                    assert co_view_recommend(scan.read(path), target, 3) == naive_co_view(
+                        oracle_events, target, 3
+                    )
+                else:
+                    with pytest.raises(UnknownRecord):
+                        co_view_recommend(scan.read(path), target, 3)
+                assert scan.skipped == expected_skipped
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError:
+            return
+        assert events_from_lines(text.splitlines()) == (expected, expected_skipped)
+
+    def test_lines_longer_than_a_block(self, tmp_path):
+        path = tmp_path / "usage.log"
+        long_id = "r" * (3 * usage.BLOCK_SIZE)
+        path.write_bytes(f"5\tv\t{long_id}\tview\n6\tv\tr2\tview".encode())
+        scan = LogScan()
+        assert list(scan.read(path)) == [(5, "v", long_id, "view"), (6, "v", "r2", "view")]
+        assert scan.skipped == 0
+
+    def test_top_k_memory_stays_far_below_the_log_size(self, tmp_path):
+        path = tmp_path / "usage.log"
+        rng = random.Random(11)
+        with open(path, "w", encoding="ascii") as fh:
+            for i in range(192_000):
+                fh.write(
+                    f"{1_136_073_600 + i}\tvisitor{rng.randrange(5000):04d}"
+                    f"\trecord{rng.randrange(2000):05d}\t{rng.choice(('view', 'download'))}\n"
+                )
+        size = path.stat().st_size
+        assert size > 8_000_000
+        tracemalloc.start()
+        try:
+            rows = top_k(LogScan().read(path), "view", 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 10
+        assert peak < size / 8, f"peak {peak} bytes for a {size}-byte log"
