@@ -15,7 +15,6 @@ from biblioforge import (
     FieldQuery,
     QueryClause,
     RecordStore,
-    register_alert,
     run_alert_batch,
 )
 
@@ -25,11 +24,11 @@ with tempfile.TemporaryDirectory() as tmp:
     alerts = AlertStore(root / "alerts")
 
     # Subscriptions store a query plus a watermark (last_run).
-    dilaton_watch = register_alert(
-        alerts, FieldQuery((QueryClause("any", "contains", "dilaton"),)), "ann", now=100
+    dilaton_watch = alerts.register(
+        FieldQuery((QueryClause("any", "contains", "dilaton"),)), "ann", now=100
     )
-    recent_watch = register_alert(
-        alerts, FieldQuery((QueryClause("year", "range", (2005, 2010)),)), "bob", now=100
+    recent_watch = alerts.register(
+        FieldQuery((QueryClause("year", "range", (2005, 2010)),)), "bob", now=100
     )
     print("registered:", dilaton_watch.alert_id[:8], "and", recent_watch.alert_id[:8])
 

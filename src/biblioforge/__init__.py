@@ -8,7 +8,7 @@ bibliometrics (counts, co-citation, link rank); access-log analytics;
 and saved-search alert batches.
 """
 
-from .alerts import AlertStore, AlertSubscription, Notification, register_alert, run_alert_batch
+from .alerts import AlertStore, AlertSubscription, Notification, run_alert_batch
 from .citegraph import CitationGraph, build_graph, citation_counts, cocitation, link_rank
 from .config import Config, load_config
 from .errors import (

@@ -6,6 +6,9 @@ in the half-open window (last_run, now] and that match the query, then
 advances the watermark to ``now``.  This gives exactly-once delivery per
 (subscription, record) across any sequence of batch runs.
 
+Subscription files are in the ``key: value`` format of ``fields``; unlike
+records, they may hold empty values.
+
 The batch runner is single-instance by contract; registration may run
 concurrently with readers but not with a batch run.
 """
@@ -19,10 +22,13 @@ import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import MalformedLine, MissingField, StorageFailure
+from .errors import MalformedLine, MissingField
+from .fields import check_value, key_value_lines
 from .records import (
-    _LINE_BREAK,
     FieldQuery,
+    _read_text,
+    list_files,
+    make_dir,
     match_query,
     parse_clause,
     sorted_records,
@@ -74,24 +80,10 @@ def serialize_subscription(sub: AlertSubscription) -> str:
 _SINGLE_KEYS = ("alert_id", "owner", "created", "last_run")
 
 
-def _check_storable(what: str, value: str) -> None:
-    """Reject a value that parse_subscription would not read back unchanged."""
-    if _LINE_BREAK.search(value):
-        raise ValueError(f"{what} holds a line break: {value!r}")
-    if value != value.strip():
-        raise ValueError(f"{what} has leading or trailing whitespace: {value!r}")
-
-
 def parse_subscription(text: str) -> AlertSubscription:
     singles: dict[str, str] = {}
     clauses = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        key, sep, value = line.partition(":")
-        if not sep:
-            raise MalformedLine("no key separator", line_no)
-        key, value = key.strip(), value.strip()
+    for line_no, key, value in key_value_lines(text.splitlines()):
         if key == "clause":
             clauses.append(parse_clause(value))
         elif key in _SINGLE_KEYS:
@@ -115,35 +107,30 @@ def parse_subscription(text: str) -> AlertSubscription:
 class AlertStore:
     """Directory of one ``<alert_id>.alert`` file per subscription."""
 
-    def __init__(self, root: str | Path, create: bool = True):
-        self.root = Path(root)
-        if create:
-            try:
-                self.root.mkdir(parents=True, exist_ok=True)
-            except OSError as exc:
-                raise StorageFailure(f"cannot create alert store at {self.root}: {exc}") from exc
-        elif not self.root.is_dir():
-            raise StorageFailure(f"alert store directory does not exist: {self.root}")
+    def __init__(self, root: str | Path):
+        self.root = make_dir(root, "alert store")
 
-    def _path(self, alert_id: str) -> Path:
-        return self.root / f"{alert_id}.alert"
+    def _path(self, alert_id: str) -> str:
+        return os.path.join(self.root, f"{alert_id}.alert")
 
     def save(self, sub: AlertSubscription) -> None:
         write_atomic(self._path(sub.alert_id), serialize_subscription(sub))
 
     def get(self, alert_id: str) -> AlertSubscription:
+        """The subscription stored as ``<alert_id>.alert``; a file's parse error names it."""
         path = self._path(alert_id)
-        if not path.is_file():
+        text = _read_text(path)
+        if text is None:
             raise MissingField("alert_id", f"no subscription {alert_id}")
-        return parse_subscription(path.read_text(encoding="utf-8"))
+        try:
+            return parse_subscription(text)
+        except (MalformedLine, MissingField, ValueError) as exc:
+            exc.args = (f"{exc} in {path}",)
+            raise
 
     def load_all(self) -> list[AlertSubscription]:
-        try:
-            with os.scandir(self.root) as entries:
-                paths = [e.path for e in entries if e.name.endswith(".alert") and e.is_file()]
-        except OSError as exc:
-            raise StorageFailure(f"listing of {self.root} failed: {exc}") from exc
-        subs = [parse_subscription(Path(p).read_text(encoding="utf-8")) for p in paths]
+        """Every stored subscription, sorted by id; the first malformed file stops the load."""
+        subs = [self.get(alert_id) for alert_id in list_files(self.root, ".alert")]
         subs.sort(key=lambda s: s.alert_id)
         return subs
 
@@ -154,10 +141,10 @@ class AlertStore:
         break or leading or trailing whitespace, which the file could not
         hold unchanged.
         """
-        _check_storable("owner", owner)
+        check_value("owner", owner)
         for clause in query.clauses:
             if isinstance(clause.value, str):
-                _check_storable("clause value", clause.value)
+                check_value("clause value", clause.value)
         stamp = int(time.time()) if now is None else now
         sub = AlertSubscription(
             alert_id=uuid.uuid4().hex,
@@ -168,13 +155,6 @@ class AlertStore:
         )
         self.save(sub)
         return sub
-
-
-def register_alert(
-    store: AlertStore, query: FieldQuery, owner: str, now: int | None = None
-) -> AlertSubscription:
-    """Persist a new subscription; created and last_run start at now."""
-    return store.register(query, owner, now)
 
 
 def run_alert_batch(
@@ -193,11 +173,12 @@ def run_alert_batch(
     of their notifications.
 
     With ``notifications_dir`` set, each non-empty notification is written
-    to ``<dir>/<now>/<alert_id>.tsv`` (record id and title per row) before
-    its watermark is persisted through ``alert_store``.
+    to ``<dir>/<now>/<alert_id>.tsv`` (record id and title per row, a tab
+    in a title becoming a space) before its watermark is persisted through
+    ``alert_store``.
     """
     records = sorted_records(store, references=False)  # queries never read references
-    titles = {r.record_id: r.title for r in records}
+    titles = {r.record_id: r.title.replace("\t", " ") for r in records}
     notifications = []
     for sub in subscriptions:
         matching = sorted(
@@ -222,10 +203,6 @@ def run_alert_batch(
 def _write_notification(
     root: Path, batch_ts: int, note: Notification, titles: dict[str, str]
 ) -> None:
-    batch_dir = root / str(batch_ts)
-    try:
-        batch_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise StorageFailure(f"cannot create notification directory {batch_dir}: {exc}") from exc
+    batch_dir = make_dir(root / str(batch_ts), "notification directory")
     rows = "".join(f"{rid}\t{titles.get(rid, '')}\n" for rid in note.record_ids)
     write_atomic(batch_dir / f"{note.alert_id}.tsv", rows)

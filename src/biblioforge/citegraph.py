@@ -33,9 +33,8 @@ def build_graph(store: Iterable[BibRecord]) -> CitationGraph:
 
     Each citation entry resolves, first match wins, by exact report number,
     else by exact (journal, volume, page) triple; otherwise it counts as
-    unresolved.  The resolved record id is written back onto the entry.
-    Duplicate citations of one target collapse to a single edge and
-    self-citations never become edges.
+    unresolved.  Duplicate citations of one target collapse to a single
+    edge and self-citations never become edges.
     """
     records = sorted_records(store, keywords=False)
     graph = CitationGraph(nodes={r.record_id for r in records})
@@ -57,7 +56,6 @@ def build_graph(store: Iterable[BibRecord]) -> CitationGraph:
                     break
             if target is None and entry.journal and entry.volume and entry.page:
                 target = by_triple.get((entry.journal, entry.volume, entry.page))
-            entry.resolved_record_id = target
             if target is None:
                 graph.unresolved += 1
             elif target != record.record_id:

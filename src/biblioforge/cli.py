@@ -52,14 +52,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _common_options(parser: argparse.ArgumentParser) -> None:
+    # a flag whose dest names a Config field overrides that field (_build_config)
     parser.add_argument("--config", help="config file (or set $BIBLIOFORGE_CONFIG)")
     parser.add_argument("--out", help="write the report to this file instead of stdout")
-    parser.add_argument("--store-dir", help="record store directory")
-    parser.add_argument("--taxonomy", help="taxonomy file path")
-    parser.add_argument("--kb", help="journal knowledge base path")
-    parser.add_argument("--log-path", help="usage log path")
-    parser.add_argument("--alerts-dir", help="subscription store directory")
-    parser.add_argument("--notifications-dir", help="notification output directory")
+    parser.add_argument("--store-dir", type=Path, help="record store directory")
+    parser.add_argument(
+        "--taxonomy", dest="taxonomy_path", type=Path, metavar="TAXONOMY", help="taxonomy file path"
+    )
+    parser.add_argument(
+        "--kb", dest="kb_path", type=Path, metavar="KB", help="journal knowledge base path"
+    )
+    parser.add_argument("--log-path", type=Path, help="usage log path")
+    parser.add_argument("--alerts-dir", type=Path, help="subscription store directory")
+    parser.add_argument("--notifications-dir", type=Path, help="notification output directory")
 
 
 def build_parser() -> _Parser:
@@ -86,7 +91,13 @@ def build_parser() -> _Parser:
     group.add_argument("--rank", action="store_true", help="report link rank instead of counts")
     group.add_argument("--edges", action="store_true", help="report the edge list")
     p.add_argument("--damping", type=float, help="rank damping factor")
-    p.add_argument("--tolerance", type=float, help="rank convergence tolerance")
+    p.add_argument(
+        "--tolerance",
+        dest="rank_tolerance",
+        type=float,
+        metavar="TOLERANCE",
+        help="rank convergence tolerance",
+    )
     p.set_defaults(func=cmd_citegraph)
 
     p = sub.add_parser("usage", help="access-log reports")
@@ -135,22 +146,11 @@ def build_parser() -> _Parser:
 def _build_config(args: argparse.Namespace) -> Config:
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     cfg = load_config(path) if path else Config()
-    overrides: dict[str, object] = {}
-    for flag, key in (
-        ("store_dir", "store_dir"),
-        ("taxonomy", "taxonomy_path"),
-        ("kb", "kb_path"),
-        ("log_path", "log_path"),
-        ("alerts_dir", "alerts_dir"),
-        ("notifications_dir", "notifications_dir"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[key] = Path(value)
-    if getattr(args, "damping", None) is not None:
-        overrides["damping"] = args.damping
-    if getattr(args, "tolerance", None) is not None:
-        overrides["rank_tolerance"] = args.tolerance
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(Config)
+        if getattr(args, f.name, None) is not None
+    }
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 

@@ -1,6 +1,7 @@
 """Configuration for the batch pipeline.
 
-Config files are key/value lines (``key: value``); ``heading_pattern`` may
+Config files are in the ``key: value`` format of ``fields``, with no empty
+values; lines starting with ``#`` are comments.  ``heading_pattern`` may
 repeat and, when present, replaces the default heading patterns.  Command
 line flags override file values; the file path comes from ``--config`` or
 the BIBLIOFORGE_CONFIG environment variable.
@@ -14,6 +15,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import MalformedLine
+from .fields import key_value_lines
 from .refextract import DEFAULT_HEADING_PATTERNS, default_journal_kb_path
 
 logger = logging.getLogger(__name__)
@@ -48,44 +50,28 @@ class Config:
         return self.kb_path if self.kb_path is not None else default_journal_kb_path()
 
 
-_PATH_KEYS = {
-    "store_dir",
-    "taxonomy_path",
-    "kb_path",
-    "log_path",
-    "alerts_dir",
-    "notifications_dir",
-}
-_FLOAT_KEYS = {"damping", "rank_tolerance"}
-_INT_KEYS = {"rank_max_iters"}
+# Config annotation (a string: annotations are postponed) -> parser; str for the rest
+_PARSERS = {"Path": Path, "Path | None": Path, "float": float, "int": int}
 
 
 def load_config(path: str | Path) -> Config:
     """Parse a config file into a Config; unknown keys warn and are ignored."""
     values: dict[str, object] = {}
     patterns: list[str] = []
-    text = Path(path).read_text(encoding="utf-8")
-    known = {f.name for f in fields(Config)}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        key, sep, value = line.partition(":")
-        if not sep:
-            raise MalformedLine("no key separator", line_no)
-        key, value = key.strip(), value.strip()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    types = {f.name: f.type for f in fields(Config)}
+    # a comment reads as a blank line, so later line numbers stay put
+    uncommented = ("" if line.lstrip().startswith("#") else line for line in lines)
+    for line_no, key, value in key_value_lines(uncommented):
         if not value:
             raise MalformedLine(f"empty value for key {key!r}", line_no)
         if key == "heading_pattern":
             patterns.append(value)
-        elif key in _PATH_KEYS:
-            values[key] = Path(value)
-        elif key in _FLOAT_KEYS or key in _INT_KEYS:
+        elif key in types:
             try:
-                values[key] = float(value) if key in _FLOAT_KEYS else int(value)
+                values[key] = _PARSERS.get(types[key], str)(value)
             except ValueError:
                 raise MalformedLine(f"bad number for {key}: {value!r}", line_no) from None
-        elif key in known:
-            values[key] = value
         else:
             logger.warning("config %s line %d: ignoring unknown key %r", path, line_no, key)
     if patterns:

@@ -1,7 +1,7 @@
 """Bibliographic record model, on-disk store, field queries and BibTeX export.
 
-The record file format is line-oriented UTF-8: one ``key: value`` field per
-line, records separated by a line containing only ``%%``.  Keys ``author``,
+Records are UTF-8 in the ``key: value`` format of ``fields``, with no empty
+values, separated by a line containing only ``%%``.  Keys ``author``,
 ``report_number`` and ``reference_raw`` repeat; all others are singular.
 A store is a directory holding one ``<record_id>.rec`` file per record,
 with optional ``<record_id>.refs.tsv`` and ``<record_id>.keys.tsv``
@@ -42,6 +42,7 @@ from typing import Iterable, Iterator
 from _blake2 import blake2b
 
 from .errors import MalformedLine, MissingField, StorageFailure, UnknownRecord
+from .fields import LINE_BREAKS, check_value, key_value_lines, line_blocks
 from .refextract import CitationEntry
 from .taxonomy import KeywordAssignment
 
@@ -59,10 +60,7 @@ _INT_KEYS = ("year", "ingest_time")
 QUERY_FIELDS = ("title", "author", "year", "journal", "report_number", "keyword", "any")
 QUERY_MATCHES = ("contains", "equals", "range")
 
-# Every character str.splitlines splits on; parse_record would split a value there.
-_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-_LINE_BREAK = re.compile(f"[{_LINE_BREAKS}]")
-_BAD_ID_CHAR = re.compile(f"[/\\\\\0\t{_LINE_BREAKS}]")
+_BAD_ID_CHAR = re.compile(f"[/\\\\\0\t{LINE_BREAKS}]")
 
 
 @dataclass
@@ -86,14 +84,38 @@ class BibRecord:
     references_digest: str | None = field(default=None, compare=False, repr=False)
 
 
-def write_atomic(path: Path, content: str) -> None:
+def make_dir(root: str | Path, what: str) -> Path:
+    """Create the directory of a store if it is missing; ``what`` names the store in errors."""
+    root = Path(root)
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise StorageFailure(f"cannot create {what} at {root}: {exc}") from exc
+    return root
+
+
+def list_files(root: Path, suffix: str) -> list[str]:
+    """Sorted ``<name>`` of each file (not directory) in ``root`` named ``<name><suffix>``."""
+    try:
+        with os.scandir(root) as entries:
+            names = [
+                entry.name[: -len(suffix)]
+                for entry in entries
+                if entry.name.endswith(suffix) and entry.name != suffix and entry.is_file()
+            ]
+    except OSError as exc:
+        raise StorageFailure(f"listing of {root} failed: {exc}") from exc
+    return sorted(names)
+
+
+def write_atomic(path: str | Path, content: str) -> None:
     """Replace ``path`` with ``content`` through a fresh temporary file and a rename.
 
     The temporary file sits beside the target, named ``.tmp-*.tmp`` so no
     store glob picks it up, and is removed when the write fails.
     """
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(content)
@@ -150,11 +172,10 @@ def validate_record(record: BibRecord) -> None:
     if record.ingest_time is not None and record.ingest_time < 0:
         raise ValueError("ingest_time must be non-negative")
     for value in _serializable_values(record):
-        if _LINE_BREAK.search(value):
-            raise ValueError(f"field value contains a line break: {value!r}")
-        # parse_record strips each value and refuses an empty one
-        if not value or value != value.strip():
+        # parse_record refuses an empty value
+        if not value.strip():
             raise ValueError(f"field value is blank or has surrounding whitespace: {value!r}")
+        check_value("field value", value)
 
 
 def _serializable_values(record: BibRecord) -> list[str]:
@@ -170,19 +191,11 @@ def parse_record(raw: str, _line_offset: int = 0) -> BibRecord:
     """Parse one record block into a BibRecord.
 
     Mandatory keys are ``id`` and ``title``.  Unknown keys are ignored with
-    a warning; a line without a key separator or with an empty value is a
-    MalformedLine.
+    a warning; an empty value is a MalformedLine.
     """
     singles: dict[str, str] = {}
     repeats: dict[str, list[str]] = {k: [] for k in _REPEATABLE_KEYS}
-    for line_no, line in enumerate(raw.splitlines(), start=1 + _line_offset):
-        if not line.strip():
-            continue
-        key, sep, value = line.partition(":")
-        if not sep:
-            raise MalformedLine("no key separator", line_no)
-        key = key.strip()
-        value = value.strip()
+    for line_no, key, value in key_value_lines(raw.splitlines(), 1 + _line_offset):
         if not value:
             raise MalformedLine(f"empty value for key {key!r}", line_no)
         if key in _REPEATABLE_KEYS:
@@ -219,20 +232,12 @@ def parse_record(raw: str, _line_offset: int = 0) -> BibRecord:
 
 def parse_records_text(text: str) -> list[BibRecord]:
     """Parse a whole record file: blocks separated by ``%%`` lines."""
-    records = []
-    block: list[str] = []
-    block_start = 0
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if line.strip() == RECORD_SEPARATOR:
-            if any(l.strip() for l in block):
-                records.append(parse_record("\n".join(block), block_start))
-            block = []
-            block_start = line_no
-        else:
-            block.append(line)
-    if any(l.strip() for l in block):
-        records.append(parse_record("\n".join(block), block_start))
-    return records
+    blocks = line_blocks(text.splitlines(), lambda line: line.strip() == RECORD_SEPARATOR)
+    return [
+        parse_record("\n".join(block), first - 1)
+        for first, block in blocks
+        if any(line.strip() for line in block)
+    ]
 
 
 def serialize_record(record: BibRecord) -> str:
@@ -265,7 +270,11 @@ class QueryClause:
 
 @dataclass(frozen=True)
 class FieldQuery:
-    """Conjunction of field clauses; a record matches when every clause does."""
+    """Conjunction of field clauses; a record matches when every clause does.
+
+    Clause values are those ``parse_clause`` yields: an int for year equals,
+    an ordered int pair for year range and a string otherwise.
+    """
 
     clauses: tuple[QueryClause, ...]
 
@@ -277,17 +286,22 @@ class FieldQuery:
                 raise ValueError(f"unknown query field: {clause.field!r}")
             if clause.match not in QUERY_MATCHES:
                 raise ValueError(f"unknown match kind: {clause.match!r}")
+            value = clause.value
             if clause.match == "range":
                 if clause.field != "year":
                     raise ValueError("range match is only valid on year")
-                value = clause.value
                 if (
                     not isinstance(value, tuple)
                     or len(value) != 2
-                    or not all(isinstance(v, int) for v in value)
+                    or not all(type(v) is int for v in value)
                     or value[0] > value[1]
                 ):
                     raise ValueError("range value must be an ordered integer pair")
+            elif clause.field == "year" and clause.match == "equals":
+                if type(value) is not int:
+                    raise ValueError(f"year equals value must be an integer: {value!r}")
+            elif not isinstance(value, str):
+                raise ValueError(f"{clause.field} {clause.match} value must be a string: {value!r}")
 
 
 def parse_clause(text: str) -> QueryClause:
@@ -332,11 +346,8 @@ def _clause_matches(clause: QueryClause, record: BibRecord) -> bool:
         lo, hi = clause.value  # type: ignore[misc]
         return record.year is not None and lo <= record.year <= hi
     if clause.field == "year" and clause.match == "equals":
-        try:
-            return record.year == int(clause.value)  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            return False
-    needle = str(clause.value).lower()
+        return record.year == clause.value
+    needle = clause.value.lower()  # type: ignore[union-attr]
     values = [v.lower() for v in _text_values(record, clause.field)]
     if clause.match == "contains":
         return any(needle in v for v in values)
@@ -390,17 +401,18 @@ def input_digest(*parts: bytes) -> str:
     return h.hexdigest()
 
 
-def _sidecar_text(record_id: str, rows: Iterable[list[str]], digest: str | None) -> str:
-    """Sidecar file text; ValueError when a cell would split its row or line."""
+def _sidecar_text(record_id: str, items: list, digest: str | None, to_rows, read) -> str:
+    """Sidecar file text; ValueError unless ``read`` gives back ``(digest, items)`` from it."""
     lines = [] if digest is None else [f"{_DIGEST_KEY}\t{digest}"]
-    for row in rows:
-        line = "\t".join(row)
-        if line.count("\t") != len(row) - 1 or _LINE_BREAK.search(line):
-            raise ValueError(
-                f"record {record_id}: sidecar value holds a tab or line break: {line!r}"
-            )
-        lines.append(line)
-    return "".join(line + "\n" for line in lines)
+    lines.extend("\t".join(row) for row in to_rows(items))
+    text = "".join(line + "\n" for line in lines)
+    try:
+        read_back = read(text)
+    except (MalformedLine, ValueError):
+        read_back = None
+    if read_back != (digest, items):
+        raise ValueError(f"record {record_id}: sidecar rows would not read back as written")
+    return text
 
 
 def _sidecar_rows(text: str, columns: int, kind: str) -> tuple[str | None, list[list[str]]]:
@@ -490,20 +502,14 @@ class RecordStore:
     are atomic per file (write to a temporary file, then rename).
     """
 
-    def __init__(self, root: str | Path, create: bool = True):
-        self.root = Path(root)
-        if create:
-            try:
-                self.root.mkdir(parents=True, exist_ok=True)
-            except OSError as exc:
-                raise StorageFailure(f"cannot create store at {self.root}: {exc}") from exc
-        elif not self.root.is_dir():
-            raise StorageFailure(f"store directory does not exist: {self.root}")
+    def __init__(self, root: str | Path):
+        self.root = make_dir(root, "store")
         self._prefix = os.path.join(self.root, "")
 
-    def _path(self, record_id: str, suffix: str) -> Path:
+    def _base(self, record_id: str) -> str:
+        """A record's file path without suffix; the id is checked first."""
         _check_record_id(record_id)
-        return self.root / f"{record_id}{suffix}"
+        return self._prefix + record_id
 
     def upsert(self, record: BibRecord, now: int | None = None) -> BibRecord:
         """Insert or replace a record; latest content wins per record id.
@@ -514,7 +520,7 @@ class RecordStore:
         validate_record(record)
         if record.ingest_time is None:
             record.ingest_time = now if now is not None else int(time.time())
-        write_atomic(self._path(record.record_id, ".rec"), serialize_record(record))
+        write_atomic(self._base(record.record_id) + ".rec", serialize_record(record))
         return record
 
     def get(
@@ -525,8 +531,7 @@ class RecordStore:
         A sidecar left out is neither opened nor decoded, so a damaged one
         fails only the readers that ask for it.
         """
-        _check_record_id(record_id)
-        base = self._prefix + record_id
+        base = self._base(record_id)
         text = _read_text(base + ".rec")
         if text is None:
             raise UnknownRecord(record_id)
@@ -545,41 +550,29 @@ class RecordStore:
         self, record_id: str, entries: Iterable[CitationEntry], digest: str | None = None
     ) -> None:
         """Write the references sidecar, led by the digest of its inputs when given."""
-        text = _sidecar_text(record_id, _refs_rows(entries), digest)
-        write_atomic(self._path(record_id, ".refs.tsv"), text)
+        text = _sidecar_text(record_id, list(entries), digest, _refs_rows, _refs_from_rows)
+        write_atomic(self._base(record_id) + ".refs.tsv", text)
 
     def write_keywords_sidecar(
         self, record_id: str, assignments: Iterable[KeywordAssignment], digest: str | None = None
     ) -> None:
         """Write the keywords sidecar, led by the digest of its inputs when given."""
-        text = _sidecar_text(record_id, _keys_rows(assignments), digest)
-        write_atomic(self._path(record_id, ".keys.tsv"), text)
+        text = _sidecar_text(record_id, list(assignments), digest, _keys_rows, _keys_from_rows)
+        write_atomic(self._base(record_id) + ".keys.tsv", text)
 
     def remove_sidecar(self, record_id: str, suffix: str) -> None:
         """Delete a record's ``.refs.tsv`` or ``.keys.tsv`` sidecar, if there is one."""
-        path = self._path(record_id, suffix)
+        path = Path(self._base(record_id) + suffix)
         try:
             path.unlink(missing_ok=True)
         except OSError as exc:
             raise StorageFailure(f"removal of {path} failed: {exc}") from exc
 
     def record_ids(self) -> list[str]:
-        try:
-            with os.scandir(self.root) as entries:
-                ids = [
-                    entry.name[:-4]
-                    for entry in entries
-                    if entry.name.endswith(".rec") and entry.name != ".rec" and entry.is_file()
-                ]
-        except OSError as exc:
-            raise StorageFailure(f"listing of {self.root} failed: {exc}") from exc
-        return sorted(ids)
+        return list_files(self.root, ".rec")
 
     def __len__(self) -> int:
         return len(self.record_ids())
-
-    def __contains__(self, record_id: str) -> bool:
-        return self._path(record_id, ".rec").is_file()
 
     def iter_records(self, **parts: bool) -> Iterator[BibRecord]:
         """Every record in id order; ``parts`` (``keywords``, ``references``) go to ``get``."""

@@ -49,6 +49,8 @@ _TOKEN_RE = re.compile(r"\S+")
 _COMMA_RE = re.compile(",")
 
 _MAX_TITLE_TOKENS = 8
+# marker-numbered lines in a row that make a reference section without a heading
+_MIN_MARKER_RUN = 3
 
 
 @dataclass
@@ -63,17 +65,16 @@ class JournalKB:
     """Journal title knowledge base: alias lookup plus URL templates."""
 
     entries: list[KBEntry]
-    alias_index: dict[str, str] = field(default_factory=dict)
+    alias_index: dict[str, str] = field(default_factory=dict, init=False)
 
     def __post_init__(self) -> None:
-        if not self.alias_index:
-            for entry in self.entries:
-                for alias in [entry.canonical_title, *entry.aliases]:
-                    norm = normalize_alias(alias)
-                    owner = self.alias_index.get(norm)
-                    if owner is not None and owner != entry.canonical_title:
-                        raise DuplicateAlias(norm, [owner, entry.canonical_title])
-                    self.alias_index[norm] = entry.canonical_title
+        for entry in self.entries:
+            for alias in [entry.canonical_title, *entry.aliases]:
+                norm = normalize_alias(alias)
+                owner = self.alias_index.get(norm)
+                if owner is not None and owner != entry.canonical_title:
+                    raise DuplicateAlias(norm, [owner, entry.canonical_title])
+                self.alias_index[norm] = entry.canonical_title
         # every word prefix of every alias key, "" included: a candidate
         # title outside this set cannot grow into an alias
         self._alias_prefixes = {
@@ -101,7 +102,6 @@ class CitationEntry:
     year: int | None = None
     report_numbers: list[str] = field(default_factory=list)
     url: str | None = None
-    resolved_record_id: str | None = None
 
 
 def normalize_alias(text: str) -> str:
@@ -158,13 +158,12 @@ def _compile_heading_patterns(patterns: tuple[str, ...] | list[str] | None):
 def locate_reference_section(
     fulltext: str,
     heading_patterns: tuple[str, ...] | list[str] | None = None,
-    min_marker_run: int = 3,
 ) -> tuple[int, int] | None:
     """Find the reference section; returns (start, end) offsets or None.
 
     The span runs from the last line matching a heading pattern to the end
     of the document.  With no heading, it falls back to the last maximal
-    run of at least ``min_marker_run`` consecutive lines starting with
+    run of at least ``_MIN_MARKER_RUN`` consecutive lines starting with
     bracketed or dotted numeric markers, covering exactly that run.
     """
     compiled = _compile_heading_patterns(heading_patterns)
@@ -192,11 +191,11 @@ def locate_reference_section(
             run_end = offset + len(line)
             run_len += 1
         else:
-            if run_start is not None and run_len >= min_marker_run:
+            if run_start is not None and run_len >= _MIN_MARKER_RUN:
                 best = (run_start, run_end)  # type: ignore[assignment]
             run_start = None
         offset += len(raw)
-    if run_start is not None and run_len >= min_marker_run:
+    if run_start is not None and run_len >= _MIN_MARKER_RUN:
         best = (run_start, run_end)  # type: ignore[assignment]
     return best
 

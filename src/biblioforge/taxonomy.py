@@ -28,6 +28,7 @@ from .errors import (
     MalformedLine,
     MissingField,
 )
+from .fields import key_value_lines, line_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -235,11 +236,12 @@ _TERM_KEYS = ("term", "pref", "alt", "broader", "composite")
 def load_taxonomy(path: str | Path) -> Taxonomy:
     """Load a taxonomy from its line-oriented file format.
 
-    ``term: <id>`` opens a term; ``pref:``, ``alt:`` (repeatable),
+    The file is in the ``key: value`` format of ``fields``, with no empty
+    values.  ``term: <id>`` opens a term; ``pref:``, ``alt:`` (repeatable),
     ``broader:`` (repeatable) and ``composite: <id> + <id>`` fill it in; a
     blank line ends it.  Unknown keys are ignored with a warning.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     terms: list[TaxonomyTerm] = []
     current: TaxonomyTerm | None = None
     current_pref_line: int | None = None
@@ -251,48 +253,42 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
             raise MissingField("pref", f"term {term.term_id}")
         terms.append(term)
 
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            close(current)
-            current = None
-            continue
-        key, sep, value = line.partition(":")
-        key = key.strip()
-        value = value.strip()
-        if not sep:
-            raise MalformedLine("no key separator", line_no)
-        if not value:
-            raise MalformedLine(f"empty value for key {key!r}", line_no)
-        if key in _TERM_KEYS and "\t" in value:
-            # a term id or label ends up in a keywords sidecar row, where a tab splits it
-            raise MalformedLine(f"tab in {key!r} value", line_no)
-        if key == "term":
-            close(current)
-            current = TaxonomyTerm(term_id=value, pref_label="")
-            current_pref_line = None
-        elif key not in _TERM_KEYS:
-            logger.warning("taxonomy %s line %d: ignoring unknown key %r", path, line_no, key)
-        elif current is None:
-            raise MalformedLine(f"{key!r} outside a term block", line_no)
-        elif key == "pref":
-            if current.pref_label:
-                raise MalformedLine(
-                    f"duplicate pref (first on line {current_pref_line})", line_no
-                )
-            current.pref_label = value
-            current_pref_line = line_no
-        elif key == "alt":
-            current.alt_labels.append(value)
-        elif key == "broader":
-            current.broader.append(value)
-        elif key == "composite":
-            parts = [p.strip() for p in value.split("+")]
-            if len(parts) != 2 or not all(parts):
-                raise MalformedLine("composite must name two ids joined by '+'", line_no)
-            if current.composite_of is not None:
-                raise MalformedLine("duplicate composite definition", line_no)
-            current.composite_of = (parts[0], parts[1])
-    close(current)
+    # each block is read whole before the blank line after it closes its last term
+    for first, block in line_blocks(lines, lambda line: not line.strip()):
+        for line_no, key, value in key_value_lines(block, first):
+            if not value:
+                raise MalformedLine(f"empty value for key {key!r}", line_no)
+            if key in _TERM_KEYS and "\t" in value:
+                # a term id or label ends up in a keywords sidecar row, where a tab splits it
+                raise MalformedLine(f"tab in {key!r} value", line_no)
+            if key == "term":
+                close(current)
+                current = TaxonomyTerm(term_id=value, pref_label="")
+                current_pref_line = None
+            elif key not in _TERM_KEYS:
+                logger.warning("taxonomy %s line %d: ignoring unknown key %r", path, line_no, key)
+            elif current is None:
+                raise MalformedLine(f"{key!r} outside a term block", line_no)
+            elif key == "pref":
+                if current.pref_label:
+                    raise MalformedLine(
+                        f"duplicate pref (first on line {current_pref_line})", line_no
+                    )
+                current.pref_label = value
+                current_pref_line = line_no
+            elif key == "alt":
+                current.alt_labels.append(value)
+            elif key == "broader":
+                current.broader.append(value)
+            elif key == "composite":
+                parts = [p.strip() for p in value.split("+")]
+                if len(parts) != 2 or not all(parts):
+                    raise MalformedLine("composite must name two ids joined by '+'", line_no)
+                if current.composite_of is not None:
+                    raise MalformedLine("duplicate composite definition", line_no)
+                current.composite_of = (parts[0], parts[1])
+        close(current)
+        current = None
     return Taxonomy(terms)
 
 

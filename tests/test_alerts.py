@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -16,11 +17,11 @@ from biblioforge import (
     BibRecord,
     FieldQuery,
     MalformedLine,
+    MissingField,
     QueryClause,
     RecordStore,
     StorageFailure,
     match_query,
-    register_alert,
     run_alert_batch,
 )
 from biblioforge.alerts import parse_subscription, serialize_subscription
@@ -99,15 +100,15 @@ class TestRegister:
     def test_retrievable_by_id(self, tmp_path: Path):
         store = AlertStore(tmp_path / "alerts")
         query = FieldQuery((QueryClause("author", "contains", "pepe"),))
-        sub = register_alert(store, query, "me", now=50)
+        sub = store.register(query, "me", now=50)
         loaded = store.get(sub.alert_id)
         assert loaded == sub
 
     def test_identical_queries_get_distinct_ids(self, tmp_path: Path):
         store = AlertStore(tmp_path / "alerts")
         query = FieldQuery((QueryClause("author", "contains", "pepe"),))
-        first = register_alert(store, query, "me", now=50)
-        second = register_alert(store, query, "me", now=50)
+        first = store.register(query, "me", now=50)
+        second = store.register(query, "me", now=50)
         assert first.alert_id != second.alert_id
         assert len(store.load_all()) == 2
 
@@ -123,7 +124,7 @@ class TestRegister:
                 QueryClause("title", "contains", "gravity"),
             )
         )
-        sub = register_alert(store, query, "me", now=7)
+        sub = store.register(query, "me", now=7)
         assert store.get(sub.alert_id).query == query
 
     def test_last_run_before_created_rejected(self):
@@ -165,9 +166,45 @@ class TestStoredValues:
         assert info.value.line_no == len(text.splitlines()) + 1
         assert parse_subscription(text) == sub
 
+    @pytest.mark.parametrize(
+        "edit, error, text",
+        [
+            (lambda t: t + "last_run: 9\n", MalformedLine, "line 6: duplicate key 'last_run' in "),
+            (lambda t: t + "no separator\n", MalformedLine, "line 6: no key separator in "),
+            (lambda t: t.replace("owner: you\n", ""), MissingField, "owner (subscription) in "),
+            (lambda t: t + "clause: nonsense\n", ValueError, "field:match:value"),
+        ],
+        ids=["duplicate-key", "no-separator", "missing-owner", "bad-clause"],
+    )
+    def test_malformed_file_is_named(self, tmp_path: Path, edit, error, text):
+        store = AlertStore(tmp_path / "alerts")
+        store.register(FieldQuery((QueryClause("title", "contains", "x"),)), "me", now=5)
+        bad = store.register(FieldQuery((QueryClause("title", "contains", "y"),)), "you", now=5)
+        path = store.root / f"{bad.alert_id}.alert"
+        path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+        for load in (store.load_all, lambda: store.get(bad.alert_id)):
+            with pytest.raises(error, match=re.escape(text) + ".*" + re.escape(str(path))):
+                load()
+
+    @pytest.mark.parametrize(
+        "clause",
+        [
+            QueryClause("title", "contains", 5),
+            QueryClause("year", "contains", 2006),
+            QueryClause("author", "equals", None),
+            QueryClause("year", "equals", "2006"),
+            QueryClause("year", "equals", True),
+            QueryClause("year", "range", (2000, "2005")),
+        ],
+    )
+    def test_clause_value_the_file_cannot_carry_is_refused(self, clause):
+        # the file stores every value as text, so 5 would come back as "5"
+        with pytest.raises(ValueError, match="value must be"):
+            FieldQuery((clause,))
+
     def test_directory_named_like_a_subscription_is_skipped(self, tmp_path: Path):
         store = AlertStore(tmp_path / "alerts")
-        sub = register_alert(store, FieldQuery((QueryClause("title", "contains", "x"),)), "me", now=5)
+        sub = store.register(FieldQuery((QueryClause("title", "contains", "x"),)), "me", now=5)
         (store.root / "x.alert").mkdir()
         assert store.load_all() == [sub]
 
@@ -255,6 +292,12 @@ class TestRunBatch:
         notes = run_alert_batch(at_now, [sub2], 200)
         assert notes[0].record_ids == ("r1",)
 
+    def test_tab_in_title_becomes_a_space_in_the_row(self, tmp_path: Path):
+        records = [BibRecord("p1", "Dilaton\tfields", ingest_time=150)]
+        sub = _sub("a1", QueryClause("title", "contains", "dilaton"))
+        run_alert_batch(records, [sub], 200, notifications_dir=tmp_path)
+        assert (tmp_path / "200" / "a1.tsv").read_text(encoding="utf-8") == "p1\tDilaton fields\n"
+
     def test_watermark_never_moves_backwards(self):
         sub = _sub("a1", QueryClause("title", "contains", "t"), t0=100)
         run_alert_batch([], [sub], 500)
@@ -318,7 +361,7 @@ class TestRunBatch:
         record_store.upsert(BibRecord("r1", "Fresh result", ingest_time=150))
         alert_store = AlertStore(tmp_path / "alerts")
         query = FieldQuery((QueryClause("title", "contains", "fresh"),))
-        sub = register_alert(alert_store, query, "me", now=100)
+        sub = alert_store.register(query, "me", now=100)
         notes = run_alert_batch(record_store, [sub], 200, alert_store=alert_store)
         assert notes[0].record_ids == ("r1",)
         # a second runner that reloads from disk must not re-notify
@@ -343,9 +386,7 @@ class TestInterleavingProperty:
                 record_store.upsert(record)
             alert_store = AlertStore(root / "alerts")
             protos = [
-                register_alert(
-                    alert_store, FieldQuery((_random_clause(rng),)), "owner", now=100
-                )
+                alert_store.register(FieldQuery((_random_clause(rng),)), "owner", now=100)
                 for _ in range(rng.randint(1, 4))
             ]
             batch_times = sorted(rng.sample(range(101, 5001), rng.randint(1, 5)))

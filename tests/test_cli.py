@@ -397,6 +397,32 @@ class TestAlertsCommands:
         code, out, err = self._run_batch(capsys, workspace, "5000")
         assert (code, out) == (0, ""), err
 
+    def test_malformed_subscription_file_stops_the_batch_and_is_named(self, capsys, workspace):
+        ingest_corpus(capsys, workspace)
+        ids = []
+        for owner in ("me", "you"):
+            code, out, _ = run(
+                capsys,
+                "alerts",
+                "register",
+                "--owner",
+                owner,
+                "--clause",
+                "author:contains:pepe",
+                "--now",
+                "100",
+                "--alerts-dir",
+                str(workspace["alerts"]),
+            )
+            assert code == 0
+            ids.append(out.strip())
+        path = workspace["alerts"] / f"{ids[1]}.alert"
+        path.write_text(path.read_text(encoding="utf-8") + "last_run: 9\n", encoding="utf-8")
+        code, out, err = self._run_batch(capsys, workspace, "5000")
+        assert (code, out) == (1, "")
+        assert f"line 6: duplicate key 'last_run' in {path}" in err
+        assert not workspace["notes"].exists()
+
     @pytest.mark.parametrize(
         "option, value",
         [("--clause", "title:contains:x\nlast_run: 5"), ("--owner", "me\u2028last_run: 5")],

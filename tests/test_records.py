@@ -351,6 +351,79 @@ class TestStore:
         assert [e.raw for e in record.references] == ["[1] x"]
         assert [(k.term_id, k.occurrence) for k in record.keywords] == [("t_d", 2)]
 
+    @given(
+        entries=st.lists(
+            st.builds(
+                CitationEntry,
+                raw=st.text(max_size=12),
+                marker=st.none() | st.text(max_size=6),
+                journal=st.none() | st.text(max_size=12),
+                volume=st.none() | st.text(max_size=6),
+                page=st.none() | st.text(max_size=6),
+                year=st.none() | st.integers(),
+                report_numbers=st.lists(st.text(max_size=8), max_size=3),
+                url=st.none() | st.text(max_size=12),
+            ),
+            max_size=3,
+        ),
+        assignments=st.lists(
+            st.builds(
+                KeywordAssignment,
+                term_id=st.text(max_size=8),
+                display_label=st.text(max_size=12),
+                occurrence=st.integers(),
+                component_counts=st.none() | st.tuples(st.integers(), st.integers()),
+                components=st.none() | st.tuples(st.text(max_size=6), st.text(max_size=6)),
+            ),
+            max_size=3,
+        ),
+        digest=st.none() | st.text(max_size=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_accepted_sidecar_rows_read_back(self, tmp_path_factory, entries, assignments, digest):
+        """Whatever a sidecar writer accepts, ``get`` returns equal, digest included."""
+        store = RecordStore(tmp_path_factory.mktemp("records"))
+        store.upsert(BibRecord("r1", "T"))
+        try:
+            store.write_refs_sidecar("r1", entries, digest)
+        except ValueError:
+            entries = None
+        try:
+            store.write_keywords_sidecar("r1", assignments, digest)
+        except ValueError:
+            assignments = None
+        record = store.get("r1")
+        if entries is not None:
+            assert (record.references_digest, record.references) == (digest, entries)
+        if assignments is not None:
+            assert (record.keywords_digest, record.keywords) == (digest, assignments)
+
+    @pytest.mark.parametrize(
+        "entry, assignment",
+        [
+            (
+                CitationEntry("[1] x", marker=""),
+                KeywordAssignment("t", "a", 1, component_counts=()),
+            ),
+            (
+                CitationEntry("[1] x", report_numbers=[""]),
+                KeywordAssignment("t", "a", 1, components=("a+b", "c")),
+            ),
+            (
+                CitationEntry("[1] x", report_numbers=["a;b"]),
+                KeywordAssignment("t", "a", 1, components=("",)),
+            ),
+        ],
+    )
+    def test_sidecar_value_that_would_not_read_back_rejected(self, store, entry, assignment):
+        # an empty field or list reads back as None, and list items split at ";" and "+"
+        store.upsert(BibRecord("p1", "T"))
+        with pytest.raises(ValueError, match="p1"):
+            store.write_refs_sidecar("p1", [entry])
+        with pytest.raises(ValueError, match="p1"):
+            store.write_keywords_sidecar("p1", [assignment])
+        assert sorted(p.name for p in store.root.iterdir()) == ["p1.rec"]
+
     def test_fulltext_resolution(self, store: RecordStore):
         record = BibRecord("r1", "T", fulltext_path="ft/r1.txt")
         assert store.fulltext_file(record) == store.root / "ft" / "r1.txt"
