@@ -21,17 +21,19 @@ import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from .errors import MalformedLine, MissingField
 from .fields import check_int, check_value, key_value_lines
 from .records import (
+    BibRecord,
     FieldQuery,
     _read_text,
+    format_clause,
     list_files,
     make_dir,
     match_query,
     parse_clause,
-    sorted_records,
     write_atomic,
 )
 
@@ -59,13 +61,6 @@ class Notification:
     record_ids: tuple[str, ...]
 
 
-def _clause_text(clause) -> str:
-    value = clause.value
-    if isinstance(value, tuple):
-        value = f"{value[0]}..{value[1]}"
-    return f"{clause.field}:{clause.match}:{value}"
-
-
 def serialize_subscription(sub: AlertSubscription) -> str:
     lines = [
         f"alert_id: {sub.alert_id}",
@@ -73,7 +68,7 @@ def serialize_subscription(sub: AlertSubscription) -> str:
         f"created: {sub.created}",
         f"last_run: {sub.last_run}",
     ]
-    lines.extend(f"clause: {_clause_text(c)}" for c in sub.query.clauses)
+    lines.extend(f"clause: {format_clause(c)}" for c in sub.query.clauses)
     return "\n".join(lines) + "\n"
 
 
@@ -161,7 +156,7 @@ class AlertStore:
 
 
 def run_alert_batch(
-    store,
+    records: Iterable[BibRecord],
     subscriptions: list[AlertSubscription],
     now: int,
     notifications_dir: str | Path | None = None,
@@ -180,7 +175,7 @@ def run_alert_batch(
     in a title becoming a space) before its watermark is persisted through
     ``alert_store``.
     """
-    records = sorted_records(store, references=False)  # queries never read references
+    records = list(records)  # scanned once per subscription
     titles = {r.record_id: r.title.replace("\t", " ") for r in records}
     notifications = []
     for sub in subscriptions:

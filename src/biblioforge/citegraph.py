@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import NonConvergence, UnknownNode
-from .records import BibRecord, sorted_records
+from .records import BibRecord
 
 logger = logging.getLogger(__name__)
 
@@ -28,7 +28,7 @@ class CitationGraph:
     unresolved: int = 0
 
 
-def build_graph(store: Iterable[BibRecord]) -> CitationGraph:
+def build_graph(records: Iterable[BibRecord]) -> CitationGraph:
     """Resolve stored references into a citation graph.
 
     Each citation entry resolves, first match wins, by exact report number,
@@ -36,7 +36,7 @@ def build_graph(store: Iterable[BibRecord]) -> CitationGraph:
     unresolved.  Duplicate citations of one target collapse to a single
     edge and self-citations never become edges.
     """
-    records = sorted_records(store, keywords=False)
+    records = sorted(records, key=lambda r: r.record_id)
     graph = CitationGraph(nodes={r.record_id for r in records})
 
     by_report: dict[str, str] = {}
@@ -100,7 +100,7 @@ def link_rank(
     """
     if not 0 < damping < 1:
         raise ValueError("damping must be in (0, 1)")
-    if tolerance <= 0:
+    if not tolerance > 0:  # NaN fails this too
         raise ValueError("tolerance must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")

@@ -51,42 +51,43 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgvError(message, self.format_usage())
 
 
-def _common_options(parser: argparse.ArgumentParser) -> None:
-    # a flag whose dest names a Config field overrides that field (_build_config)
-    parser.add_argument("--config", help="config file (or set $BIBLIOFORGE_CONFIG)")
-    parser.add_argument("--out", help="write the report to this file instead of stdout")
-    parser.add_argument("--store-dir", type=Path, help="record store directory")
-    parser.add_argument(
-        "--taxonomy", dest="taxonomy_path", type=Path, metavar="TAXONOMY", help="taxonomy file path"
-    )
-    parser.add_argument(
-        "--kb", dest="kb_path", type=Path, metavar="KB", help="journal knowledge base path"
-    )
-    parser.add_argument("--log-path", type=Path, help="usage log path")
-    parser.add_argument("--alerts-dir", type=Path, help="subscription store directory")
-    parser.add_argument("--notifications-dir", type=Path, help="notification output directory")
+# Options every command takes; a flag whose dest names a Config field
+# overrides that field (_build_config).
+_SHARED = argparse.ArgumentParser(add_help=False)
+_SHARED.add_argument("--config", help="config file (or set $BIBLIOFORGE_CONFIG)")
+_SHARED.add_argument("--out", help="write the report to this file instead of stdout")
+_SHARED.add_argument("--store-dir", type=Path, help="record store directory")
+_SHARED.add_argument(
+    "--taxonomy", dest="taxonomy_path", type=Path, metavar="TAXONOMY", help="taxonomy file path"
+)
+_SHARED.add_argument(
+    "--kb", dest="kb_path", type=Path, metavar="KB", help="journal knowledge base path"
+)
+_SHARED.add_argument("--log-path", type=Path, help="usage log path")
+_SHARED.add_argument("--alerts-dir", type=Path, help="subscription store directory")
+_SHARED.add_argument("--notifications-dir", type=Path, help="notification output directory")
+
+
+def _command(sub, name: str, help: str, func) -> _Parser:
+    """Add command ``name`` with the shared options; ``func`` runs it."""
+    parser = sub.add_parser(name, help=help, parents=[_SHARED])
+    parser.set_defaults(func=func)
+    return parser
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="biblioforge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("ingest", help="parse record files into the store")
-    _common_options(p)
+    p = _command(sub, "ingest", "parse record files into the store", cmd_ingest)
     p.add_argument("files", nargs="+")
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("keywords", help="assign taxonomy keywords to stored records")
-    _common_options(p)
+    p = _command(sub, "keywords", "assign taxonomy keywords to stored records", cmd_keywords)
     p.add_argument("--max", type=int, default=10, help="keywords per record (default 10)")
-    p.set_defaults(func=cmd_keywords)
 
-    p = sub.add_parser("refextract", help="extract references from stored full texts")
-    _common_options(p)
-    p.set_defaults(func=cmd_refextract)
+    _command(sub, "refextract", "extract references from stored full texts", cmd_refextract)
 
-    p = sub.add_parser("citegraph", help="build the citation graph and report")
-    _common_options(p)
+    p = _command(sub, "citegraph", "build the citation graph and report", cmd_citegraph)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--rank", action="store_true", help="report link rank instead of counts")
     group.add_argument("--edges", action="store_true", help="report the edge list")
@@ -98,47 +99,36 @@ def build_parser() -> _Parser:
         metavar="TOLERANCE",
         help="rank convergence tolerance",
     )
-    p.set_defaults(func=cmd_citegraph)
 
     p = sub.add_parser("usage", help="access-log reports")
     usage_sub = p.add_subparsers(dest="usage_command", required=True, parser_class=_Parser)
-    pt = usage_sub.add_parser("top", help="most viewed/downloaded records")
-    _common_options(pt)
-    pt.add_argument("--action", choices=("view", "download"), required=True)
-    pt.add_argument("-k", type=int, default=10)
-    pt.add_argument("--from", dest="window_from", type=int, default=None)
-    pt.add_argument("--to", dest="window_to", type=int, default=None)
-    pt.set_defaults(func=cmd_usage_top)
-    pr = usage_sub.add_parser("recommend", help="people-who-viewed-also-viewed")
-    _common_options(pr)
-    pr.add_argument("record_id")
-    pr.add_argument("-k", type=int, default=10)
-    pr.set_defaults(func=cmd_usage_recommend)
+    p = _command(usage_sub, "top", "most viewed/downloaded records", cmd_usage_top)
+    p.add_argument("--action", choices=("view", "download"), required=True)
+    p.add_argument("-k", type=int, default=10)
+    p.add_argument("--from", dest="window_from", type=int, default=None)
+    p.add_argument("--to", dest="window_to", type=int, default=None)
+    p = _command(usage_sub, "recommend", "people-who-viewed-also-viewed", cmd_usage_recommend)
+    p.add_argument("record_id")
+    p.add_argument("-k", type=int, default=10)
 
     p = sub.add_parser("alerts", help="saved-search subscriptions")
     alerts_sub = p.add_subparsers(dest="alerts_command", required=True, parser_class=_Parser)
-    pa = alerts_sub.add_parser("register", help="store a new subscription")
-    _common_options(pa)
-    pa.add_argument("--owner", required=True)
-    pa.add_argument(
+    p = _command(alerts_sub, "register", "store a new subscription", cmd_alerts_register)
+    p.add_argument("--owner", required=True)
+    p.add_argument(
         "--clause",
         action="append",
         required=True,
         help="field:match:value, repeatable (e.g. author:contains:smith)",
     )
-    pa.add_argument("--now", type=int, default=None, help="override the registration clock")
-    pa.set_defaults(func=cmd_alerts_register)
-    pb = alerts_sub.add_parser("run", help="run a notification batch")
-    _common_options(pb)
-    pb.add_argument("--now", type=int, default=None, help="override the batch clock")
-    pb.set_defaults(func=cmd_alerts_run)
+    p.add_argument("--now", type=int, default=None, help="override the registration clock")
+    p = _command(alerts_sub, "run", "run a notification batch", cmd_alerts_run)
+    p.add_argument("--now", type=int, default=None, help="override the batch clock")
 
     p = sub.add_parser("export", help="export records")
     export_sub = p.add_subparsers(dest="export_command", required=True, parser_class=_Parser)
-    pe = export_sub.add_parser("bibtex", help="render records as BibTeX")
-    _common_options(pe)
-    pe.add_argument("ids", nargs="+")
-    pe.set_defaults(func=cmd_export_bibtex)
+    p = _command(export_sub, "bibtex", "render records as BibTeX", cmd_export_bibtex)
+    p.add_argument("ids", nargs="+")
 
     return parser
 
@@ -164,24 +154,28 @@ def cmd_ingest(args, cfg: Config, out) -> None:
     out.write(f"ingested\t{total}\n")
 
 
-def _records_with_text(store: RecordStore, settings: str, sidecar: str):
-    """Yield (record, full text, input digest) for every stored record with a full text.
+def _records_with_text(store: RecordStore, records, settings: str, sidecar: str):
+    """Yield (record, full text, input digest) for each of ``records`` with a full text.
 
-    Each record is read with the command's ``sidecar`` (``.keys.tsv`` or
-    ``.refs.tsv``) only.  The digest covers the command's settings digest
-    and the full text, so it changes whenever anything the extractor reads
-    does.  A record without a full text loses the command's sidecar, if it
-    has one: its rows describe a text the record no longer names.
+    The digest covers the command's settings digest and the full text, so
+    it changes whenever anything the extractor reads does.  A record without
+    a full text loses the command's ``sidecar`` (``.keys.tsv`` or
+    ``.refs.tsv``), if it has one: its rows describe a text the record no
+    longer names.
     """
-    keywords = sidecar == ".keys.tsv"
-    for record in store.iter_records(keywords=keywords, references=not keywords):
+    for record in records:
         path = store.fulltext_file(record)
         if path is None:
             store.remove_sidecar(record.record_id, sidecar)
             continue
         if not path.is_file():
             raise BiblioforgeError(f"full text missing for {record.record_id}: {path}")
-        text = path.read_text(encoding="utf-8")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise BiblioforgeError(
+                f"full text not valid UTF-8 for {record.record_id}: {path}: {exc}"
+            ) from None
         yield record, text, input_digest(settings.encode(), text.encode())
 
 
@@ -193,7 +187,8 @@ def cmd_keywords(args, cfg: Config, out) -> None:
     settings = input_digest(cfg.taxonomy_path.read_bytes(), str(args.max).encode())
     taxonomy = load_taxonomy(cfg.taxonomy_path)
     store = RecordStore(cfg.store_dir)
-    for record, text, digest in _records_with_text(store, settings, ".keys.tsv"):
+    records = store.iter_records(references=False)
+    for record, text, digest in _records_with_text(store, records, settings, ".keys.tsv"):
         assignments = record.keywords
         if record.keywords_digest != digest:
             assignments = extract_keywords(text, taxonomy, max_results=args.max)
@@ -209,7 +204,8 @@ def cmd_refextract(args, cfg: Config, out) -> None:
     settings = input_digest(kb_path.read_bytes(), *(p.encode() for p in cfg.heading_patterns))
     kb = load_journal_kb(kb_path)
     store = RecordStore(cfg.store_dir)
-    for record, text, digest in _records_with_text(store, settings, ".refs.tsv"):
+    records = store.iter_records(keywords=False)
+    for record, text, digest in _records_with_text(store, records, settings, ".refs.tsv"):
         entries = record.references
         if record.references_digest != digest:
             entries = extract_references(text, kb, cfg.heading_patterns)
@@ -219,7 +215,7 @@ def cmd_refextract(args, cfg: Config, out) -> None:
 
 def cmd_citegraph(args, cfg: Config, out) -> None:
     store = RecordStore(cfg.store_dir)
-    graph = build_graph(store)
+    graph = build_graph(store.iter_records(keywords=False))
     print(f"unresolved entries: {graph.unresolved}", file=sys.stderr)
     if args.edges:
         out.write(edges_tsv(graph))
@@ -235,29 +231,22 @@ def cmd_citegraph(args, cfg: Config, out) -> None:
         out.write(report_tsv(citation_counts(graph)))
 
 
-def _require_log(cfg: Config) -> Path:
-    if cfg.log_path is None:
-        raise ValueError("no usage log configured (set log_path or --log-path)")
-    return cfg.log_path
-
-
 @contextlib.contextmanager
 def _log_scan(cfg: Config):
     """Events of the configured log; the skipped count is printed after the scan."""
+    if cfg.log_path is None:
+        raise ValueError("no usage log configured (set log_path or --log-path)")
     scan = LogScan()
     try:
-        yield scan.read(_require_log(cfg))
+        yield scan.read(cfg.log_path)
     finally:
         if scan.skipped:
             print(f"skipped {scan.skipped} malformed log lines", file=sys.stderr)
 
 
 def cmd_usage_top(args, cfg: Config, out) -> None:
-    window = None
-    if args.window_from is not None or args.window_to is not None:
-        window = (args.window_from, args.window_to)
     with _log_scan(cfg) as events:
-        rows = top_k(events, args.action, args.k, window)
+        rows = top_k(events, args.action, args.k, (args.window_from, args.window_to))
     for record_id, count in rows:
         out.write(f"{record_id}\t{count}\n")
 
@@ -281,7 +270,7 @@ def cmd_alerts_run(args, cfg: Config, out) -> None:
     store = RecordStore(cfg.store_dir)
     now = args.now if args.now is not None else int(time.time())
     notes = run_alert_batch(
-        store,
+        store.iter_records(references=False),  # queries never read references
         alert_store.load_all(),
         now,
         notifications_dir=cfg.notifications_dir,

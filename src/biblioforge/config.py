@@ -40,12 +40,15 @@ class Config:
     def __post_init__(self) -> None:
         if not 0 < self.damping < 1:
             raise ValueError("damping must be in (0, 1)")
-        if self.rank_tolerance <= 0:
+        if not self.rank_tolerance > 0:  # NaN fails this too
             raise ValueError("rank_tolerance must be positive")
         if self.rank_max_iters < 1:
             raise ValueError("rank_max_iters must be >= 1")
         for pattern in self.heading_patterns:
-            re.compile(pattern)
+            try:
+                re.compile(pattern)
+            except re.error as exc:
+                raise ValueError(f"bad heading_pattern {pattern!r}: {exc}") from None
 
     def resolved_kb_path(self) -> Path:
         return self.kb_path if self.kb_path is not None else default_journal_kb_path()

@@ -14,10 +14,9 @@ readable; their rows are simply recomputed by the next enrichment run.
 
 ``RecordStore.get`` opens the ``.rec`` file and only the sidecars its
 caller asks for, one ``open`` per file and no separate existence check.
-``keywords`` and ``alerts run`` read ``.rec`` and ``.keys.tsv``;
-``refextract`` and ``citegraph`` read ``.rec`` and ``.refs.tsv``;
-``export bibtex`` reads all three.  A damaged sidecar therefore fails only
-the commands that read it.
+Each command of ``cli`` names the sidecars its whole-store read asks
+``iter_records`` for, so a damaged sidecar fails only the commands that
+read it.
 
 Parsing and query matching are pure functions.  The store supports
 concurrent readers with a single writer; each write goes to a temporary
@@ -142,16 +141,6 @@ def _read_text(path: str) -> str | None:
     except OSError as exc:
         raise StorageFailure(f"read of {path} failed: {exc}") from exc
     return data.decode("utf-8")
-
-
-def sorted_records(store, **parts: bool) -> list[BibRecord]:
-    """Every record of a store, or of any iterable of records, sorted by id.
-
-    ``parts`` (``keywords``, ``references``) pass to a store's ``iter_records``.
-    """
-    records = list(store.iter_records(**parts)) if hasattr(store, "iter_records") else list(store)
-    records.sort(key=lambda r: r.record_id)
-    return records
 
 
 def _check_record_id(record_id: str) -> None:
@@ -315,6 +304,14 @@ def parse_clause(text: str) -> QueryClause:
     if fld == "year" and match == "equals":
         return QueryClause(fld, match, int(value))
     return QueryClause(fld, match, value)
+
+
+def format_clause(clause: QueryClause) -> str:
+    """The ``field:match:value`` text of a clause; inverse of parse_clause."""
+    value = clause.value
+    if isinstance(value, tuple):
+        value = f"{value[0]}..{value[1]}"
+    return f"{clause.field}:{clause.match}:{value}"
 
 
 def _text_values(record: BibRecord, fld: str) -> list[str]:
@@ -508,7 +505,7 @@ class RecordStore:
         _check_record_id(record_id)
         return self._prefix + record_id
 
-    def upsert(self, record: BibRecord, now: int | None = None) -> BibRecord:
+    def upsert(self, record: BibRecord) -> BibRecord:
         """Insert or replace a record; latest content wins per record id.
 
         ``ingest_time`` is stamped with the insertion wall clock when the
@@ -516,7 +513,7 @@ class RecordStore:
         """
         validate_record(record)
         if record.ingest_time is None:
-            record.ingest_time = now if now is not None else int(time.time())
+            record.ingest_time = int(time.time())
         write_atomic(self._base(record.record_id) + ".rec", serialize_record(record))
         return record
 
@@ -571,10 +568,12 @@ class RecordStore:
     def __len__(self) -> int:
         return len(self.record_ids())
 
-    def iter_records(self, **parts: bool) -> Iterator[BibRecord]:
-        """Every record in id order; ``parts`` (``keywords``, ``references``) go to ``get``."""
+    def iter_records(
+        self, *, keywords: bool = True, references: bool = True
+    ) -> Iterator[BibRecord]:
+        """Every record in id order, read by ``get`` with the sidecars asked for."""
         for record_id in self.record_ids():
-            yield self.get(record_id, **parts)
+            yield self.get(record_id, keywords=keywords, references=references)
 
     def fulltext_file(self, record: BibRecord) -> Path | None:
         """Full-text file for a record; relative paths resolve in the store."""

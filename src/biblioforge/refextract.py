@@ -86,9 +86,6 @@ class JournalKB:
             e.canonical_title: e.url_template for e in self.entries if e.url_template
         }
 
-    def url_template_for(self, canonical_title: str) -> str | None:
-        return self._templates.get(canonical_title)
-
 
 @dataclass
 class CitationEntry:
@@ -421,7 +418,7 @@ def build_url(entry: CitationEntry, kb: JournalKB) -> str | None:
         return entry.url
     if entry.journal is None or entry.volume is None or entry.page is None:
         return None
-    template = kb.url_template_for(entry.journal)
+    template = kb._templates.get(entry.journal)
     if template is None:
         return None
     values = {

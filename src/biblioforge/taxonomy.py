@@ -133,9 +133,6 @@ class Taxonomy:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def __contains__(self, term_id: str) -> bool:
-        return term_id in self.terms
-
     def _validate_and_index(self) -> None:
         for term in self.terms.values():
             if not term.pref_label.strip():

@@ -300,14 +300,14 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
 
     # the pipeline reports are not just stable, they match the module oracles
     edges = set(
-        tuple(line.split("\t")) for line in first["edges"].read_text().splitlines()
+        tuple(line.split("\t")) for line in first["edges"].read_text(encoding="utf-8").splitlines()
     )
     assert edges == CORPUS_EDGES
     oracle = dense_link_rank(
         {f"r{i:02d}" for i in range(1, 9)}, CORPUS_EDGES, damping=0.85
     )
     rank_rows = dict(
-        line.split("\t") for line in first["rank"].read_text().splitlines()
+        line.split("\t") for line in first["rank"].read_text(encoding="utf-8").splitlines()
     )
     assert set(rank_rows) == set(oracle)
     for record_id, value in rank_rows.items():

@@ -397,12 +397,13 @@ class TestRunBatch:
         alert_store = AlertStore(tmp_path / "alerts")
         query = FieldQuery((QueryClause("title", "contains", "fresh"),))
         sub = alert_store.register(query, "me", now=100)
-        notes = run_alert_batch(record_store, [sub], 200, alert_store=alert_store)
+        notes = run_alert_batch(record_store.iter_records(), [sub], 200, alert_store=alert_store)
         assert notes[0].record_ids == ("r1",)
         # a second runner that reloads from disk must not re-notify
         reloaded = alert_store.load_all()
         assert reloaded[0].last_run == 200
-        assert run_alert_batch(record_store, reloaded, 300, alert_store=alert_store) == []
+        records = record_store.iter_records()
+        assert run_alert_batch(records, reloaded, 300, alert_store=alert_store) == []
         assert alert_store.get(sub.alert_id).last_run == 300
 
 
@@ -428,7 +429,8 @@ class TestInterleavingProperty:
             history: dict[str, list[str]] = {p.alert_id: [] for p in protos}
             for t in batch_times:
                 subs = alert_store.load_all()
-                for note in run_alert_batch(record_store, subs, t, alert_store=alert_store):
+                records = record_store.iter_records()
+                for note in run_alert_batch(records, subs, t, alert_store=alert_store):
                     history[note.alert_id].extend(note.record_ids)
             for proto in protos:
                 notified = history[proto.alert_id]

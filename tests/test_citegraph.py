@@ -211,8 +211,9 @@ class TestLinkRank:
         graph = CitationGraph(nodes={"a"})
         with pytest.raises(ValueError):
             link_rank(graph, damping=1.0)
-        with pytest.raises(ValueError):
-            link_rank(graph, tolerance=0.0)
+        for tolerance in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                link_rank(graph, tolerance=tolerance)
         with pytest.raises(ValueError):
             link_rank(graph, max_iters=0)
 

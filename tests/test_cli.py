@@ -223,6 +223,21 @@ class TestReferencePipeline:
         assert (entry.journal, entry.volume, entry.page) == ("Phys. Rev., A", "10", "100")
 
 
+@pytest.mark.parametrize(
+    "command", [("keywords", "--taxonomy", str(DATA_DIR / "taxonomy20.tax")), ("refextract",)]
+)
+def test_full_text_not_utf8_names_record_and_file(capsys, workspace, tmp_path, command):
+    records = tmp_path / "probe.rec"
+    records.write_text("id: p1\ntitle: Bytes probe\nfulltext: ft/p1.txt\n", encoding="utf-8")
+    store = workspace["store"]
+    assert run(capsys, "ingest", str(records), "--store-dir", str(store))[0] == 0
+    (store / "ft").mkdir()
+    (store / "ft" / "p1.txt").write_bytes(b"a\xffb\n")
+    code, out, err = run(capsys, *command, "--store-dir", str(store))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: full text not valid UTF-8 for p1: {store / 'ft' / 'p1.txt'}: ")
+
+
 class TestUsageCommands:
     def test_top_views(self, capsys, workspace):
         code, out, _ = run(
@@ -508,6 +523,34 @@ class TestConfigWiring:
         code, _, err = run(capsys, "usage", "top", "--action", "view", "--config", str(cfg))
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (("citegraph", "--rank", "--tolerance", "nan"), "", "rank_tolerance must be positive"),
+            (("citegraph", "--rank"), "rank_tolerance: nan\n", "rank_tolerance must be positive"),
+            (("refextract",), "heading_pattern: (\n", "bad heading_pattern '('"),
+        ],
+        ids=["tolerance-flag-nan", "tolerance-config-nan", "heading-pattern-regex"],
+    )
+    def test_invalid_setting_is_input_error(self, capsys, workspace, argv, config, message):
+        ingest_corpus(capsys, workspace)
+        cfg = workspace["root"] / "bad.cfg"
+        cfg.write_text(f"store_dir: {workspace['store']}\n{config}", encoding="utf-8")
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}")
+
+    def test_rank_that_does_not_converge_warns_and_reports(self, capsys, workspace):
+        ingest_corpus(capsys, workspace)
+        assert run(capsys, "refextract", "--store-dir", str(workspace["store"]))[0] == 0
+        cfg = workspace["root"] / "one-iteration.cfg"
+        cfg.write_text(f"store_dir: {workspace['store']}\nrank_max_iters: 1\n", encoding="utf-8")
+        code, out, err = run(capsys, "citegraph", "--rank", "--config", str(cfg))
+        assert code == 0
+        assert "warning: rank iteration did not converge after 1 iterations\n" in err
+        scores = [float(line.split("\t")[1]) for line in out.splitlines()]
+        assert len(scores) == 8 and abs(sum(scores) - 1.0) < 1e-9
+
 
 def test_python_dash_m_runs_the_command_line(tmp_path):
     src = Path(__file__).resolve().parent.parent / "src"
@@ -517,6 +560,7 @@ def test_python_dash_m_runs_the_command_line(tmp_path):
             [sys.executable, "-m", "biblioforge", *argv],
             capture_output=True,
             text=True,
+            encoding="utf-8",
             env={**os.environ, "PYTHONPATH": str(src)},
         )
 
@@ -537,4 +581,10 @@ def test_ci_workflow_runs_both_suites():
     # pyyaml lets this very test run in CI instead of skipping there
     for needed in ("pytest hypothesis numpy pyyaml", "python -m pytest -q", "python3 -m pytest bench/ -q"):
         assert needed in commands
+    # text I/O without an explicit encoding fails the tier-1 run, subprocesses included
+    [tier1] = [step for step in job["steps"] if "python -m pytest -q" in step.get("run", "")]
+    assert tier1["env"] == {
+        "PYTHONWARNDEFAULTENCODING": "1",
+        "PYTHONWARNINGS": "error::EncodingWarning",
+    }
     assert 0 < job["timeout-minutes"] <= 15

@@ -76,6 +76,19 @@ def test_faults_name_their_line(tmp_path, line, reason):
     assert (info.value.line_no, info.value.reason) == (4, reason)
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("rank_tolerance: 0", "rank_tolerance must be positive"),
+        ("rank_tolerance: nan", "rank_tolerance must be positive"),
+        ("heading_pattern: (", "bad heading_pattern '(': missing ), unterminated subpattern"),
+    ],
+)
+def test_invalid_values_are_refused(tmp_path, line, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_config(_write(tmp_path, f"store_dir: s\n{line}\n"))
+
+
 def test_unknown_key_warns_and_is_ignored(tmp_path, caplog):
     path = _write(tmp_path, "store_dir: s\ncolour: blue\n")
     with caplog.at_level(logging.WARNING):

@@ -23,6 +23,7 @@ def test_demo_exits_zero(demo: Path, tmp_path: Path):
         [sys.executable, str(demo)],
         capture_output=True,
         text=True,
+        encoding="utf-8",
         cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         timeout=60,

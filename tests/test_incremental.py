@@ -217,6 +217,7 @@ def test_importing_the_cli_leaves_hashlib_unloaded():
         [sys.executable, "-c", probe],
         capture_output=True,
         text=True,
+        encoding="utf-8",
         check=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )

@@ -24,7 +24,6 @@ from biblioforge import (
 )
 from biblioforge import records as records_module
 from biblioforge.cli import dispatch
-from biblioforge.records import sorted_records
 
 DATA_DIR = Path(__file__).parent / "data"
 CORPUS = DATA_DIR / "corpus"
@@ -58,7 +57,7 @@ class TestGetParts:
         assert record == expected
         assert (record.references_digest, record.keywords_digest) == ("ab12", "cd34")
         assert list(store.iter_records()) == [expected]
-        assert sorted_records(store) == [expected]
+        assert list(store.iter_records(keywords=True, references=True)) == [expected]
 
     def test_parts_left_out_are_not_merged(self, enriched):
         store, expected = enriched
@@ -70,7 +69,7 @@ class TestGetParts:
         assert record.keywords == expected.keywords
         [record] = store.iter_records(keywords=False, references=False)
         assert (record.keywords, record.references) == ([], [])
-        [record] = sorted_records(store, references=False)
+        [record] = store.iter_records(references=False)
         assert record.keywords == expected.keywords and record.references == []
 
     def test_parts_left_out_are_not_opened(self, enriched, monkeypatch):

@@ -98,6 +98,11 @@ class TestLocateSection:
         assert text[start:].startswith("[1] U. Ochoa")
         assert text[:end].endswith("(1979) 61")
 
+    def test_fallback_run_ends_before_following_prose(self):
+        text = "intro\n[1] a\n[2] b\n[3] c\nprose after\n"
+        assert locate_reference_section(text) == (6, 23)
+        assert text[6:23] == "[1] a\n[2] b\n[3] c"
+
     def test_fallback_needs_three_marker_lines(self):
         text = "Some prose here.\n[1] one\n[2] two\n"
         assert locate_reference_section(text) is None
