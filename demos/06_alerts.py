@@ -3,7 +3,8 @@ Saved-search alerts
 ===================
 
 Register subscriptions, run notification batches as the store grows, and
-observe the exactly-once watermark semantics.
+observe the watermark semantics: each batch delivers the matching records
+ingested since the one before.
 """
 
 import tempfile

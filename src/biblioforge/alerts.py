@@ -3,8 +3,9 @@
 A subscription stores a field query with a watermark (``last_run``).  A
 batch run notifies each subscription about records whose ingest time falls
 in the half-open window (last_run, now] and that match the query, then
-advances the watermark to ``now``.  This gives exactly-once delivery per
-(subscription, record) across any sequence of batch runs.
+advances the watermark to ``now``.  So a record ingested at or below the
+watermark (a late arrival, or one in the last batch's second) is never
+delivered; a crash between a notification and the save re-delivers it.
 
 Subscription files are in the ``key: value`` format of ``fields``; unlike
 records, they may hold empty values.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .errors import MalformedLine, MissingField
+from .errors import MalformedLine, MissingField, in_file
 from .fields import check_int, check_value, key_value_lines
 from .records import (
     BibRecord,
@@ -121,16 +122,16 @@ class AlertStore:
         if text is None:
             raise MissingField("alert_id", f"no subscription {alert_id}")
         try:
-            return parse_subscription(text)
+            sub = parse_subscription(text)
+            if sub.alert_id != alert_id:  # a batch saves by id: a copy would never advance
+                raise ValueError(f"alert_id {sub.alert_id!r} is not the file name")
         except (MalformedLine, MissingField, ValueError) as exc:
-            exc.args = (f"{exc} in {path}",)
-            raise
+            raise in_file(exc, path)
+        return sub
 
     def load_all(self) -> list[AlertSubscription]:
         """Every stored subscription, sorted by id; the first malformed file stops the load."""
-        subs = [self.get(alert_id) for alert_id in list_files(self.root, ".alert")]
-        subs.sort(key=lambda s: s.alert_id)
-        return subs
+        return [self.get(alert_id) for alert_id in list_files(self.root, ".alert")]
 
     def register(self, query: FieldQuery, owner: str, now: int | None = None) -> AlertSubscription:
         """Persist a new subscription; created and last_run start at ``now``.

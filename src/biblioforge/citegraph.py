@@ -85,6 +85,16 @@ def cocitation(graph: CitationGraph, a: str, b: str) -> int:
     return len(_citers(graph, a) & _citers(graph, b))
 
 
+def check_rank_settings(damping: float, tolerance: float, max_iters: int) -> None:
+    """Raise ValueError unless ``link_rank`` and ``Config`` can take these rank settings."""
+    if not 0 < damping < 1:
+        raise ValueError("damping must be in (0, 1)")
+    if not 0 < tolerance < float("inf"):  # NaN fails this too
+        raise ValueError("rank_tolerance must be positive and finite")
+    if max_iters < 1:
+        raise ValueError("rank_max_iters must be >= 1")
+
+
 def link_rank(
     graph: CitationGraph,
     damping: float = 0.85,
@@ -98,12 +108,7 @@ def link_rank(
     drops below ``tolerance``; the scores sum to 1.  Hitting ``max_iters``
     raises NonConvergence with the last scores attached.
     """
-    if not 0 < damping < 1:
-        raise ValueError("damping must be in (0, 1)")
-    if not tolerance > 0:  # NaN fails this too
-        raise ValueError("tolerance must be positive")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+    check_rank_settings(damping, tolerance, max_iters)
 
     nodes = sorted(graph.nodes)
     n = len(nodes)

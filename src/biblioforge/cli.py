@@ -21,7 +21,7 @@ from pathlib import Path
 from .alerts import AlertStore, run_alert_batch
 from .citegraph import build_graph, citation_counts, edges_tsv, link_rank, report_tsv
 from .config import CONFIG_ENV_VAR, Config, load_config
-from .errors import BiblioforgeError, NonConvergence
+from .errors import BiblioforgeError, MalformedLine, MissingField, NonConvergence, in_file
 from .records import (
     FieldQuery,
     RecordStore,
@@ -148,7 +148,11 @@ def cmd_ingest(args, cfg: Config, out) -> None:
     store = RecordStore(cfg.store_dir)
     total = 0
     for name in args.files:
-        for record in parse_records_text(Path(name).read_text(encoding="utf-8")):
+        try:
+            records = parse_records_text(Path(name).read_text(encoding="utf-8"))
+        except (MalformedLine, MissingField) as exc:
+            raise in_file(exc, name)
+        for record in records:
             store.upsert(record)
             total += 1
     out.write(f"ingested\t{total}\n")
@@ -247,15 +251,13 @@ def _log_scan(cfg: Config):
 def cmd_usage_top(args, cfg: Config, out) -> None:
     with _log_scan(cfg) as events:
         rows = top_k(events, args.action, args.k, (args.window_from, args.window_to))
-    for record_id, count in rows:
-        out.write(f"{record_id}\t{count}\n")
+    out.write(report_tsv(dict(rows)))
 
 
 def cmd_usage_recommend(args, cfg: Config, out) -> None:
     with _log_scan(cfg) as events:
         rows = co_view_recommend(events, args.record_id, args.k)
-    for record_id, strength in rows:
-        out.write(f"{record_id}\t{strength}\n")
+    out.write(report_tsv(dict(rows)))
 
 
 def cmd_alerts_register(args, cfg: Config, out) -> None:

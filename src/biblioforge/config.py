@@ -15,7 +15,8 @@ import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import MalformedLine
+from .citegraph import check_rank_settings
+from .errors import MalformedLine, in_file
 from .fields import key_value_lines
 from .refextract import DEFAULT_HEADING_PATTERNS, default_journal_kb_path
 
@@ -38,12 +39,7 @@ class Config:
     heading_patterns: tuple[str, ...] = DEFAULT_HEADING_PATTERNS
 
     def __post_init__(self) -> None:
-        if not 0 < self.damping < 1:
-            raise ValueError("damping must be in (0, 1)")
-        if not self.rank_tolerance > 0:  # NaN fails this too
-            raise ValueError("rank_tolerance must be positive")
-        if self.rank_max_iters < 1:
-            raise ValueError("rank_max_iters must be >= 1")
+        check_rank_settings(self.damping, self.rank_tolerance, self.rank_max_iters)
         for pattern in self.heading_patterns:
             try:
                 re.compile(pattern)
@@ -67,18 +63,21 @@ def load_config(path: str | Path) -> Config:
     types = {f.name: f.type for f in fields(Config) if f.name != "heading_patterns"}
     # a comment reads as a blank line, so later line numbers stay put
     uncommented = ("" if line.lstrip().startswith("#") else line for line in lines)
-    for line_no, key, value in key_value_lines(uncommented):
-        if not value:
-            raise MalformedLine(f"empty value for key {key!r}", line_no)
-        if key == "heading_pattern":
-            patterns.append(value)
-        elif key in types:
-            try:
-                values[key] = _PARSERS.get(types[key], str)(value)
-            except ValueError:
-                raise MalformedLine(f"bad number for {key}: {value!r}", line_no) from None
-        else:
-            logger.warning("config %s line %d: ignoring unknown key %r", path, line_no, key)
+    try:
+        for line_no, key, value in key_value_lines(uncommented):
+            if not value:
+                raise MalformedLine(f"empty value for key {key!r}", line_no)
+            if key == "heading_pattern":
+                patterns.append(value)
+            elif key in types:
+                try:
+                    values[key] = _PARSERS.get(types[key], str)(value)
+                except ValueError:
+                    raise MalformedLine(f"bad number for {key}: {value!r}", line_no) from None
+            else:
+                logger.warning("config %s line %d: ignoring unknown key %r", path, line_no, key)
+    except MalformedLine as exc:
+        raise in_file(exc, path)
     if patterns:
         values["heading_patterns"] = tuple(patterns)
     return Config(**values)  # type: ignore[arg-type]

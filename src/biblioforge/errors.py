@@ -29,6 +29,12 @@ class MalformedLine(BiblioforgeError):
         self.line_no = line_no
 
 
+def in_file(exc: Exception, path: object) -> Exception:
+    """``exc`` with `` in <path>`` added to its message; ``reason`` and ``line_no`` stay."""
+    exc.args = (f"{exc} in {path}",)
+    return exc
+
+
 class StorageFailure(BiblioforgeError):
     """An I/O operation on a store failed."""
 

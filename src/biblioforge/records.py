@@ -40,7 +40,7 @@ from typing import Iterable, Iterator
 # load OpenSSL and cost megabytes of resident memory in every command.
 from _blake2 import blake2b
 
-from .errors import MalformedLine, MissingField, StorageFailure, UnknownRecord
+from .errors import MalformedLine, MissingField, StorageFailure, UnknownRecord, in_file
 from .fields import LINE_BREAKS, check_int, check_value, key_value_lines, line_blocks
 from .refextract import CitationEntry
 from .taxonomy import KeywordAssignment
@@ -523,21 +523,20 @@ class RecordStore:
         """Load a record, merging the keyword and reference sidecars asked for.
 
         A sidecar left out is neither opened nor decoded, so a damaged one
-        fails only the readers that ask for it.
+        fails only the readers that ask for it.  A parse error names its file.
         """
         base = self._base(record_id)
-        text = _read_text(base + ".rec")
+        text = _read_text(path := base + ".rec")
         if text is None:
             raise UnknownRecord(record_id)
-        record = parse_record(text)
-        if references:
-            text = _read_text(base + ".refs.tsv")
-            if text is not None:
+        try:
+            record = parse_record(text)
+            if references and (text := _read_text(path := base + ".refs.tsv")) is not None:
                 record.references_digest, record.references = _refs_from_rows(text)
-        if keywords:
-            text = _read_text(base + ".keys.tsv")
-            if text is not None:
+            if keywords and (text := _read_text(path := base + ".keys.tsv")) is not None:
                 record.keywords_digest, record.keywords = _keys_from_rows(text)
+        except (MalformedLine, MissingField, ValueError) as exc:
+            raise in_file(exc, path)
         return record
 
     def write_refs_sidecar(

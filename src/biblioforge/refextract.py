@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .errors import DuplicateAlias, EmptySection, MalformedLine, TemplateFieldMissing
+from .errors import DuplicateAlias, EmptySection, MalformedLine, TemplateFieldMissing, in_file
+from .fields import line_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -120,20 +121,23 @@ def load_journal_kb(path: str | Path) -> JournalKB:
     """
     entries: list[KBEntry] = []
     text = Path(path).read_text(encoding="utf-8")
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        cols = line.rstrip("\n").split("\t")
-        if len(cols) not in (2, 3):
-            raise MalformedLine(
-                f"expected 2 or 3 tab-separated columns, got {len(cols)}", line_no
-            )
-        canonical = cols[0].strip()
-        if not canonical:
-            raise MalformedLine("empty canonical title", line_no)
-        aliases = [a.strip() for a in cols[1].split(";") if a.strip()]
-        template = cols[2].strip() if len(cols) == 3 and cols[2].strip() else None
-        entries.append(KBEntry(canonical, aliases, template))
+    try:
+        for line_no, line in enumerate(text.splitlines(), start=1):
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            cols = line.split("\t")
+            if len(cols) not in (2, 3):
+                raise MalformedLine(
+                    f"expected 2 or 3 tab-separated columns, got {len(cols)}", line_no
+                )
+            canonical = cols[0].strip()
+            if not canonical:
+                raise MalformedLine("empty canonical title", line_no)
+            aliases = [a.strip() for a in cols[1].split(";") if a.strip()]
+            template = cols[2].strip() if len(cols) == 3 and cols[2].strip() else None
+            entries.append(KBEntry(canonical, aliases, template))
+    except MalformedLine as exc:
+        raise in_file(exc, path)
     return JournalKB(entries)
 
 
@@ -147,14 +151,13 @@ def normalize_journal(alias_text: str, kb: JournalKB) -> str | None:
     return kb.alias_index.get(normalize_alias(alias_text))
 
 
-def _compile_heading_patterns(patterns: tuple[str, ...] | list[str] | None):
-    pats = patterns if patterns is not None else DEFAULT_HEADING_PATTERNS
-    return [re.compile(p, re.IGNORECASE) for p in pats]
+def _compile_heading_patterns(patterns: tuple[str, ...] | list[str]):
+    return [re.compile(p, re.IGNORECASE) for p in patterns]
 
 
 def locate_reference_section(
     fulltext: str,
-    heading_patterns: tuple[str, ...] | list[str] | None = None,
+    heading_patterns: tuple[str, ...] | list[str] = DEFAULT_HEADING_PATTERNS,
 ) -> tuple[int, int] | None:
     """Find the reference section; returns (start, end) offsets or None.
 
@@ -175,25 +178,19 @@ def locate_reference_section(
             return (offset, len(fulltext))
 
     best: tuple[int, int] | None = None
-    run_start = None
-    run_end = None
-    run_len = 0
-    offset = 0
-    for raw in lines:
+    run_start = run_end = run_len = offset = 0
+    for raw in lines + [""]:  # the empty last line closes a run that reaches the end
         line = raw.rstrip("\n").rstrip("\r")
         if _FALLBACK_MARKER_RE.match(line):
-            if run_start is None:
+            if not run_len:
                 run_start = offset
-                run_len = 0
             run_end = offset + len(line)
             run_len += 1
         else:
-            if run_start is not None and run_len >= _MIN_MARKER_RUN:
-                best = (run_start, run_end)  # type: ignore[assignment]
-            run_start = None
+            if run_len >= _MIN_MARKER_RUN:
+                best = (run_start, run_end)
+            run_len = 0
         offset += len(raw)
-    if run_start is not None and run_len >= _MIN_MARKER_RUN:
-        best = (run_start, run_end)  # type: ignore[assignment]
     return best
 
 
@@ -210,7 +207,7 @@ def _detect_style(lines: list[str]) -> str | None:
 
 def _segment_with_markers(
     section_text: str,
-    heading_patterns: tuple[str, ...] | list[str] | None = None,
+    heading_patterns: tuple[str, ...] | list[str] = DEFAULT_HEADING_PATTERNS,
 ) -> list[tuple[str | None, str]]:
     """Split a reference section into (marker, entry text) pairs.
 
@@ -232,15 +229,8 @@ def _segment_with_markers(
     entries: list[tuple[str | None, str]] = []
 
     if style is None:
-        block: list[str] = []
-        for line in lines:
-            if line.strip():
-                block.append(line.strip())
-            elif block:
-                entries.append((None, " ".join(block)))
-                block = []
-        if block:
-            entries.append((None, " ".join(block)))
+        blocks = line_blocks(lines, lambda line: not line.strip())
+        entries = [(None, " ".join(line.strip() for line in b)) for _, b in blocks if b]
     else:
         marker_re = _MARKER_STYLES[style]
         marker_text = {"bracket": "[{}]", "dotted": "{}.", "paren": "({})"}[style]
@@ -273,7 +263,7 @@ def _segment_with_markers(
 
 def segment_entries(
     section_text: str,
-    heading_patterns: tuple[str, ...] | list[str] | None = None,
+    heading_patterns: tuple[str, ...] | list[str] = DEFAULT_HEADING_PATTERNS,
 ) -> list[str]:
     """Split a reference section into raw entry strings, markers removed."""
     return [text for _, text in _segment_with_markers(section_text, heading_patterns)]
@@ -389,21 +379,11 @@ def parse_entry(raw: str, kb: JournalKB) -> CitationEntry:
     found = _find_journal(work, kb)
     if found is not None:
         entry.journal, end = found
-        rest_tokens = [t for t in re.finditer(r"\S+", work[end:])]
-        vol_idx = None
-        for idx, tok in enumerate(rest_tokens):
-            stripped = tok.group(0).strip(".,;:()[]")
-            if stripped.isalnum():
-                entry.volume = stripped
-                vol_idx = idx
-                break
-        if vol_idx is not None:
-            for tok in rest_tokens[vol_idx + 1:]:
-                stripped = tok.group(0).strip(".,;:()[]")
-                pm = _PAGE_RE.match(stripped)
-                if pm:
-                    entry.page = pm.group(1)
-                    break
+        tokens = (tok.strip(".,;:()[]") for tok in work[end:].split())
+        entry.volume = next((tok for tok in tokens if tok.isalnum()), None)
+        # the page search picks up after the volume; with no volume, no token is left
+        page = next(filter(None, map(_PAGE_RE.match, tokens)), None)
+        entry.page = page.group(1) if page else None
     return entry
 
 
@@ -439,7 +419,7 @@ def build_url(entry: CitationEntry, kb: JournalKB) -> str | None:
 def extract_references(
     fulltext: str,
     kb: JournalKB,
-    heading_patterns: tuple[str, ...] | list[str] | None = None,
+    heading_patterns: tuple[str, ...] | list[str] = DEFAULT_HEADING_PATTERNS,
 ) -> list[CitationEntry]:
     """Full extraction pipeline for one document.
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import random
 import re
 import tempfile
@@ -196,6 +197,29 @@ class TestStoredValues:
         for load in (store.load_all, lambda: store.get(bad.alert_id)):
             with pytest.raises(error, match=re.escape(text) + ".*" + re.escape(str(path))):
                 load()
+
+    def test_file_whose_id_is_not_its_name_is_refused(self, tmp_path: Path):
+        # a batch would save the copy's watermark under the original's name,
+        # so the copy would deliver the same records in every batch
+        store = AlertStore(tmp_path / "alerts")
+        sub = store.register(FieldQuery((QueryClause("title", "contains", "x"),)), "me", now=5)
+        copy = store.root / "copy.alert"
+        copy.write_bytes((store.root / f"{sub.alert_id}.alert").read_bytes())
+        message = f"alert_id {sub.alert_id!r} is not the file name in {copy}"
+        for load in (store.load_all, lambda: store.get("copy")):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                load()
+        assert store.get(sub.alert_id) == sub
+
+    def test_missing_subscription(self, tmp_path: Path):
+        with pytest.raises(MissingField, match="no subscription nope"):
+            AlertStore(tmp_path / "alerts").get("nope")
+
+    def test_unknown_key_warns_and_is_ignored(self, caplog):
+        sub = AlertSubscription("a1", FieldQuery((QueryClause("title", "contains", "x"),)), "me", 5, 5)
+        with caplog.at_level(logging.WARNING, logger="biblioforge.alerts"):
+            assert parse_subscription(serialize_subscription(sub) + "colour: blue\n") == sub
+        assert "subscription line 6: ignoring unknown key 'colour'" in caplog.text
 
     def test_non_integer_time_fails_the_batch_with_exit_1(self, tmp_path: Path, capsys):
         store = AlertStore(tmp_path / "alerts")

@@ -211,7 +211,7 @@ class TestLinkRank:
         graph = CitationGraph(nodes={"a"})
         with pytest.raises(ValueError):
             link_rank(graph, damping=1.0)
-        for tolerance in (0.0, float("nan")):
+        for tolerance in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 link_rank(graph, tolerance=tolerance)
         with pytest.raises(ValueError):

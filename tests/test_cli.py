@@ -238,6 +238,67 @@ def test_full_text_not_utf8_names_record_and_file(capsys, workspace, tmp_path, c
     assert err.startswith(f"error: full text not valid UTF-8 for p1: {store / 'ft' / 'p1.txt'}: ")
 
 
+@pytest.mark.parametrize(
+    "reader", ["ingest-input", "taxonomy", "kb", "config", "rec", "refs-sidecar", "keys-sidecar"]
+)
+def test_parse_error_names_its_file(capsys, workspace, reader):
+    ingest_corpus(capsys, workspace)
+    root, store = workspace["root"], workspace["store"]
+    shared = ("--store-dir", str(store), "--alerts-dir", str(workspace["alerts"]))
+    assert run(capsys, "refextract", *shared)[0] == 0
+    assert run(capsys, "keywords", "--taxonomy", str(DATA_DIR / "taxonomy20.tax"), *shared)[0] == 0
+    (root / "good.rec").write_text("id: n1\ntitle: New\n", encoding="utf-8")
+    # reader -> (file, its new text, the command that reads it, the fault)
+    path, text, argv, message = {
+        "ingest-input": (
+            root / "bad.rec",
+            "id: n2\ntitle: T\nno separator\n",
+            ["ingest", str(root / "good.rec"), str(root / "bad.rec")],
+            "line 3: no key separator",
+        ),
+        "taxonomy": (
+            root / "bad.tax",
+            "term: t\npref: tee\nno separator\n",
+            ["keywords", "--taxonomy", str(root / "bad.tax")],
+            "line 3: no key separator",
+        ),
+        "kb": (
+            root / "bad.tsv",
+            "Phys. Rev.\n",
+            ["refextract", "--kb", str(root / "bad.tsv")],
+            "line 1: expected 2 or 3 tab-separated columns, got 1",
+        ),
+        "config": (
+            root / "bad.cfg",
+            f"store_dir: {store}\nno separator\n",
+            ["citegraph", "--config", str(root / "bad.cfg")],
+            "line 2: no key separator",
+        ),
+        "rec": (
+            store / "r01.rec",
+            (store / "r01.rec").read_text(encoding="utf-8") + "no separator\n",
+            ["citegraph"],
+            "line 11: no key separator",
+        ),
+        "refs-sidecar": (
+            store / "r01.refs.tsv",
+            "digest\tx\none column\n",
+            ["citegraph"],
+            "line 2: refs sidecar row has 1 columns",
+        ),
+        "keys-sidecar": (
+            store / "r01.keys.tsv",
+            "t\tlabel\tnotint\t\t\n",
+            ["alerts", "run", "--now", "5000"],
+            "invalid literal for int() with base 10: 'notint'",
+        ),
+    }[reader]
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, *argv, *shared)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message} in {path}\n"
+
+
 class TestUsageCommands:
     def test_top_views(self, capsys, workspace):
         code, out, _ = run(
@@ -438,6 +499,35 @@ class TestAlertsCommands:
         assert f"line 6: duplicate key 'last_run' in {path}" in err
         assert not workspace["notes"].exists()
 
+    def test_copied_subscription_file_stops_the_batch(self, capsys, workspace):
+        # a batch saves each watermark by alert_id, so the copy's would never
+        # advance and the copy would deliver the same records in every batch
+        ingest_corpus(capsys, workspace)
+        code, out, _ = run(
+            capsys,
+            "alerts",
+            "register",
+            "--owner",
+            "me",
+            "--clause",
+            "author:contains:pepe",
+            "--now",
+            "100",
+            "--alerts-dir",
+            str(workspace["alerts"]),
+        )
+        assert code == 0
+        original = workspace["alerts"] / f"{out.strip()}.alert"
+        copy = workspace["alerts"] / "copy.alert"
+        shutil.copyfile(original, copy)
+        before = original.read_bytes()
+        for now in ("200", "300"):
+            code, out, err = self._run_batch(capsys, workspace, now)
+            assert (code, out) == (1, "")
+            assert err == f"error: alert_id {original.stem!r} is not the file name in {copy}\n"
+        assert not workspace["notes"].exists()
+        assert original.read_bytes() == copy.read_bytes() == before
+
     @pytest.mark.parametrize(
         "option, value",
         [("--clause", "title:contains:x\nlast_run: 5"), ("--owner", "me\u2028last_run: 5")],
@@ -528,9 +618,17 @@ class TestConfigWiring:
         [
             (("citegraph", "--rank", "--tolerance", "nan"), "", "rank_tolerance must be positive"),
             (("citegraph", "--rank"), "rank_tolerance: nan\n", "rank_tolerance must be positive"),
+            (("citegraph", "--rank", "--tolerance", "inf"), "", "rank_tolerance must be positive"),
+            (("citegraph", "--rank"), "rank_tolerance: inf\n", "rank_tolerance must be positive"),
             (("refextract",), "heading_pattern: (\n", "bad heading_pattern '('"),
         ],
-        ids=["tolerance-flag-nan", "tolerance-config-nan", "heading-pattern-regex"],
+        ids=[
+            "tolerance-flag-nan",
+            "tolerance-config-nan",
+            "tolerance-flag-inf",
+            "tolerance-config-inf",
+            "heading-pattern-regex",
+        ],
     )
     def test_invalid_setting_is_input_error(self, capsys, workspace, argv, config, message):
         ingest_corpus(capsys, workspace)

@@ -74,6 +74,7 @@ def test_faults_name_their_line(tmp_path, line, reason):
     with pytest.raises(MalformedLine) as info:
         load_config(path)
     assert (info.value.line_no, info.value.reason) == (4, reason)
+    assert str(info.value) == f"line 4: {reason} in {path}"
 
 
 @pytest.mark.parametrize(
@@ -81,6 +82,9 @@ def test_faults_name_their_line(tmp_path, line, reason):
     [
         ("rank_tolerance: 0", "rank_tolerance must be positive"),
         ("rank_tolerance: nan", "rank_tolerance must be positive"),
+        ("rank_tolerance: inf", "rank_tolerance must be positive"),
+        ("damping: 1", "damping must be in (0, 1)"),
+        ("rank_max_iters: 0", "rank_max_iters must be >= 1"),
         ("heading_pattern: (", "bad heading_pattern '(': missing ), unterminated subpattern"),
     ],
 )

@@ -464,6 +464,22 @@ class TestMatchQuery:
         assert match_query(self.q(QueryClause("any", "contains", "gr-qc")), self.record)
         assert not match_query(self.q(QueryClause("any", "contains", "zebra")), self.record)
 
+    @pytest.mark.parametrize(
+        "clause, matches",
+        [
+            (QueryClause("year", "equals", 2006), True),
+            (QueryClause("year", "equals", 2005), False),
+            (QueryClause("year", "contains", "200"), True),
+            (QueryClause("year", "contains", "199"), False),
+            (QueryClause("report_number", "equals", "GR-QC/0607062"), True),
+            (QueryClause("report_number", "contains", "hep-th"), False),
+        ],
+    )
+    def test_year_and_report_number_values(self, clause, matches):
+        assert match_query(self.q(clause), self.record) is matches
+        # a record without a year or report number matches no clause on them
+        assert not match_query(self.q(clause), BibRecord("r2", "T"))
+
     def test_equals_whole_field(self):
         assert match_query(self.q(QueryClause("journal", "equals", "phys. rev., a")), self.record)
         assert not match_query(self.q(QueryClause("journal", "equals", "phys. rev.")), self.record)

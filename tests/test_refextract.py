@@ -357,6 +357,15 @@ class TestExtractReferences:
     def test_document_without_section(self, kb):
         assert extract_references("no bibliography here\n", kb) == []
 
+    def test_heading_without_entries(self, kb):
+        assert extract_references("Some text.\nReferences\n\n   \n", kb) == []
+
+    def test_template_needing_a_missing_year_leaves_no_url(self, kb):
+        # the JHEP template needs {year}; the entry has none, so no url is built
+        [entry] = extract_references("References\n[1] A. Author, JHEP 11, 48\n", kb)
+        assert (entry.journal, entry.volume, entry.page) == ("J. High Energy Phys.", "11", "48")
+        assert (entry.year, entry.url) == (None, None)
+
     def test_full_pipeline_on_fixture(self, kb):
         text = (DATA_DIR / "refcorpus" / "d01.txt").read_text(encoding="utf-8")
         entries = extract_references(text, kb)

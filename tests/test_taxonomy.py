@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -177,6 +178,56 @@ class TestLoadTaxonomy:
         with pytest.raises(MalformedLine, match=key) as exc:
             load_taxonomy(path)
         assert exc.value.line_no == line_no
+
+    @pytest.mark.parametrize(
+        "line_no, reason, text",
+        [
+            (2, "empty value for key 'alt'", "term: t\nalt:\npref: tee\n"),
+            (1, "'pref' outside a term block", "pref: tee\nterm: t\n"),
+            (3, "duplicate pref (first on line 2)", "term: t\npref: tee\npref: tea\n"),
+            (4, "composite must name two ids", "term: a\npref: aa\nterm: c\ncomposite: a +\n"),
+            (
+                6,
+                "duplicate composite definition",
+                "term: a\npref: aa\nterm: b\npref: bb\ncomposite: a + b\n"
+                "composite: b + a\n",
+            ),
+        ],
+        ids=["empty-value", "outside-term", "second-pref", "bad-composite", "second-composite"],
+    )
+    def test_malformed_line_rejected_with_its_line(self, tmp_path, line_no, reason, text):
+        path = tmp_path / "bad.tax"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(MalformedLine) as exc:
+            load_taxonomy(path)
+        assert exc.value.line_no == line_no
+        assert exc.value.reason.startswith(reason)
+
+    @pytest.mark.parametrize(
+        "terms, error",
+        [
+            ([TaxonomyTerm("a", "aa"), TaxonomyTerm("a", "bb")], "duplicate term id: a"),
+            (
+                [TaxonomyTerm("a", "aa"), TaxonomyTerm("c", "cc", composite_of=("a", "a"))],
+                "composite term c pairs a with itself",
+            ),
+            (
+                [TaxonomyTerm("a", "aa"), TaxonomyTerm("c", "cc", composite_of=("a", "zz"))],
+                DanglingReference,
+            ),
+            ([TaxonomyTerm("a", "--")], "label '--' of term a has no word tokens"),
+            # the labels differ, but both stem to "quark"
+            ([TaxonomyTerm("a", "quark"), TaxonomyTerm("b", "quarks")], DuplicateLabel),
+        ],
+        ids=["repeated-id", "composite-of-itself", "composite-of-unknown", "no-words", "same-stem"],
+    )
+    def test_inconsistent_terms_rejected(self, terms, error):
+        if isinstance(error, str):
+            with pytest.raises(ValueError, match=re.escape(error)):
+                Taxonomy(terms)
+        else:
+            with pytest.raises(error):
+                Taxonomy(terms)
 
     def test_every_label_indexed(self, taxonomy20):
         for term in taxonomy20.terms.values():

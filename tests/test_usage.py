@@ -158,6 +158,10 @@ class TestCoView:
         events = [_ev(1, "v1", "r1"), _ev(2, "v2", "r2")]
         assert co_view_recommend(events, "r1", 5) == []
 
+    def test_validation(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            co_view_recommend([_ev(1, "v1", "r1")], "r1", 0)
+
 
 def _random_events(rng: random.Random, n: int) -> list[UsageEvent]:
     return [
