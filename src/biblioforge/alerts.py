@@ -117,11 +117,9 @@ class AlertStore:
 
     def get(self, alert_id: str) -> AlertSubscription:
         """The subscription stored as ``<alert_id>.alert``; a file's parse error names it."""
-        path = self._path(alert_id)
-        text = _read_text(path)
-        if text is None:
-            raise MissingField("alert_id", f"no subscription {alert_id}")
         try:
+            if (text := _read_text(path := self._path(alert_id))) is None:
+                raise MissingField("alert_id", f"no subscription {alert_id}")
             sub = parse_subscription(text)
             if sub.alert_id != alert_id:  # a batch saves by id: a copy would never advance
                 raise ValueError(f"alert_id {sub.alert_id!r} is not the file name")

@@ -21,7 +21,8 @@ from pathlib import Path
 from .alerts import AlertStore, run_alert_batch
 from .citegraph import build_graph, citation_counts, edges_tsv, link_rank, report_tsv
 from .config import CONFIG_ENV_VAR, Config, load_config
-from .errors import BiblioforgeError, MalformedLine, MissingField, NonConvergence, in_file
+from .errors import BiblioforgeError, MalformedLine, NonConvergence
+from .fields import decode, reading
 from .records import (
     FieldQuery,
     RecordStore,
@@ -29,6 +30,7 @@ from .records import (
     input_digest,
     parse_clause,
     parse_records_text,
+    validate_record,
 )
 from .refextract import extract_references, load_journal_kb
 from .taxonomy import extract_keywords, load_taxonomy
@@ -38,17 +40,6 @@ from .taxonomy import extract_keywords, load_taxonomy
 from .usage import LogScan, co_view_recommend, read_log, top_k  # noqa: F401
 
 logger = logging.getLogger(__name__)
-
-
-class _ArgvError(Exception):
-    def __init__(self, message: str, usage: str):
-        super().__init__(message)
-        self.usage = usage
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # noqa: D102 - argparse hook
-        raise _ArgvError(message, self.format_usage())
 
 
 # Options every command takes; a flag whose dest names a Config field
@@ -68,16 +59,16 @@ _SHARED.add_argument("--alerts-dir", type=Path, help="subscription store directo
 _SHARED.add_argument("--notifications-dir", type=Path, help="notification output directory")
 
 
-def _command(sub, name: str, help: str, func) -> _Parser:
+def _command(sub, name: str, help: str, func) -> argparse.ArgumentParser:
     """Add command ``name`` with the shared options; ``func`` runs it."""
     parser = sub.add_parser(name, help=help, parents=[_SHARED])
     parser.set_defaults(func=func)
     return parser
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="biblioforge", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="biblioforge", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = _command(sub, "ingest", "parse record files into the store", cmd_ingest)
     p.add_argument("files", nargs="+")
@@ -101,7 +92,7 @@ def build_parser() -> _Parser:
     )
 
     p = sub.add_parser("usage", help="access-log reports")
-    usage_sub = p.add_subparsers(dest="usage_command", required=True, parser_class=_Parser)
+    usage_sub = p.add_subparsers(dest="usage_command", required=True)
     p = _command(usage_sub, "top", "most viewed/downloaded records", cmd_usage_top)
     p.add_argument("--action", choices=("view", "download"), required=True)
     p.add_argument("-k", type=int, default=10)
@@ -112,7 +103,7 @@ def build_parser() -> _Parser:
     p.add_argument("-k", type=int, default=10)
 
     p = sub.add_parser("alerts", help="saved-search subscriptions")
-    alerts_sub = p.add_subparsers(dest="alerts_command", required=True, parser_class=_Parser)
+    alerts_sub = p.add_subparsers(dest="alerts_command", required=True)
     p = _command(alerts_sub, "register", "store a new subscription", cmd_alerts_register)
     p.add_argument("--owner", required=True)
     p.add_argument(
@@ -126,7 +117,7 @@ def build_parser() -> _Parser:
     p.add_argument("--now", type=int, default=None, help="override the batch clock")
 
     p = sub.add_parser("export", help="export records")
-    export_sub = p.add_subparsers(dest="export_command", required=True, parser_class=_Parser)
+    export_sub = p.add_subparsers(dest="export_command", required=True)
     p = _command(export_sub, "bibtex", "render records as BibTeX", cmd_export_bibtex)
     p.add_argument("ids", nargs="+")
 
@@ -145,23 +136,23 @@ def _build_config(args: argparse.Namespace) -> Config:
 
 
 def cmd_ingest(args, cfg: Config, out) -> None:
-    store = RecordStore(cfg.store_dir)
-    total = 0
+    # every record is parsed and checked before the first upsert, so a failed ingest stores nothing
+    records = []
     for name in args.files:
-        try:
-            records = parse_records_text(Path(name).read_text(encoding="utf-8"))
-        except (MalformedLine, MissingField) as exc:
-            raise in_file(exc, name)
-        for record in records:
-            store.upsert(record)
-            total += 1
-    out.write(f"ingested\t{total}\n")
+        with reading(name) as text:
+            for record in parse_records_text(text):
+                validate_record(record)
+                records.append(record)
+    store = RecordStore(cfg.store_dir)
+    for record in records:
+        store.upsert(record)
+    out.write(f"ingested\t{len(records)}\n")
 
 
 def _records_with_text(store: RecordStore, records, settings: str, sidecar: str):
     """Yield (record, full text, input digest) for each of ``records`` with a full text.
 
-    The digest covers the command's settings digest and the full text, so
+    The digest covers the command's settings digest and the full text's bytes, so
     it changes whenever anything the extractor reads does.  A record without
     a full text loses the command's ``sidecar`` (``.keys.tsv`` or
     ``.refs.tsv``), if it has one: its rows describe a text the record no
@@ -172,15 +163,15 @@ def _records_with_text(store: RecordStore, records, settings: str, sidecar: str)
         if path is None:
             store.remove_sidecar(record.record_id, sidecar)
             continue
-        if not path.is_file():
-            raise BiblioforgeError(f"full text missing for {record.record_id}: {path}")
         try:
-            text = path.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
+            text = decode(data := path.read_bytes())
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+            raise BiblioforgeError(f"full text missing for {record.record_id}: {path}") from None
+        except MalformedLine as exc:
             raise BiblioforgeError(
                 f"full text not valid UTF-8 for {record.record_id}: {path}: {exc}"
             ) from None
-        yield record, text, input_digest(settings.encode(), text.encode())
+        yield record, text, input_digest(settings.encode(), data)
 
 
 def cmd_keywords(args, cfg: Config, out) -> None:
@@ -294,11 +285,7 @@ def dispatch(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _ArgvError as exc:
-        print(exc.usage, end="", file=sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # argparse --help
+    except SystemExit as exc:  # --help exits 0; a usage error, printed by argparse, exits 2
         return 0 if exc.code in (0, None) else 1
 
     try:

@@ -16,8 +16,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .citegraph import check_rank_settings
-from .errors import MalformedLine, in_file
-from .fields import key_value_lines
+from .errors import MalformedLine
+from .fields import key_value_lines, reading
 from .refextract import DEFAULT_HEADING_PATTERNS, default_journal_kb_path
 
 logger = logging.getLogger(__name__)
@@ -58,13 +58,12 @@ def load_config(path: str | Path) -> Config:
     """Parse a config file into a Config; unknown keys warn and are ignored."""
     values: dict[str, object] = {}
     patterns: list[str] = []
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
     # heading_patterns is set only by heading_pattern lines, so as a key it is unknown
     types = {f.name: f.type for f in fields(Config) if f.name != "heading_patterns"}
-    # a comment reads as a blank line, so later line numbers stay put
-    uncommented = ("" if line.lstrip().startswith("#") else line for line in lines)
-    try:
-        for line_no, key, value in key_value_lines(uncommented):
+    with reading(path) as text:
+        # a comment reads as a blank line, so later line numbers stay put
+        lines = ("" if line.lstrip().startswith("#") else line for line in text.splitlines())
+        for line_no, key, value in key_value_lines(lines):
             if not value:
                 raise MalformedLine(f"empty value for key {key!r}", line_no)
             if key == "heading_pattern":
@@ -76,8 +75,6 @@ def load_config(path: str | Path) -> Config:
                     raise MalformedLine(f"bad number for {key}: {value!r}", line_no) from None
             else:
                 logger.warning("config %s line %d: ignoring unknown key %r", path, line_no, key)
-    except MalformedLine as exc:
-        raise in_file(exc, path)
-    if patterns:
-        values["heading_patterns"] = tuple(patterns)
-    return Config(**values)  # type: ignore[arg-type]
+        if patterns:
+            values["heading_patterns"] = tuple(patterns)
+        return Config(**values)  # type: ignore[arg-type]

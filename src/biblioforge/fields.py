@@ -1,20 +1,44 @@
-"""The ``key: value`` line format of records, subscriptions, taxonomies and config files.
+"""Reading input files, and the ``key: value`` format of records, subscriptions and configs.
 
-A line holds one field: the key runs up to the first ``:``, the value is the
-rest, and both are stripped.  Blank lines are skipped.  Which keys exist,
-repeat or may have an empty value is up to each format's own parser.
+``reading`` reads an input file whole as UTF-8: a byte that is not UTF-8 is a
+MalformedLine naming its line, and a parse error ends with `` in <path>``.
+
+In the ``key: value`` format, also that of taxonomies, a line holds one field:
+the key runs up to the first ``:``, the value is the rest, both stripped.
+Blank lines are skipped; which keys exist, repeat or may be empty is up to each format.
 """
 
 from __future__ import annotations
 
+import contextlib
 import re
+from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .errors import MalformedLine
+from .errors import BiblioforgeError, MalformedLine, in_file
 
 # Every character str.splitlines splits on.
 LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 LINE_BREAK = re.compile(f"[{LINE_BREAKS}]")
+
+
+def decode(data: bytes) -> str:
+    """``data`` as UTF-8 text; MalformedLine naming the line of the first byte that is not."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # lines as str.splitlines counts them, the bad byte's own line included
+        line_no = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise MalformedLine(f"not valid UTF-8: {exc.reason}", line_no) from None
+
+
+@contextlib.contextmanager
+def reading(path: str | Path) -> Iterator[str]:
+    """The text of the file at ``path``; a parse error in the ``with`` body names the file."""
+    try:
+        yield decode(Path(path).read_bytes())
+    except (BiblioforgeError, ValueError) as exc:
+        raise in_file(exc, path)
 
 
 def key_value_lines(lines: Iterable[str], first_line: int = 1) -> Iterator[tuple[int, str, str]]:

@@ -41,7 +41,7 @@ from typing import Iterable, Iterator
 from _blake2 import blake2b
 
 from .errors import MalformedLine, MissingField, StorageFailure, UnknownRecord, in_file
-from .fields import LINE_BREAKS, check_int, check_value, key_value_lines, line_blocks
+from .fields import LINE_BREAKS, check_int, check_value, decode, key_value_lines, line_blocks
 from .refextract import CitationEntry
 from .taxonomy import KeywordAssignment
 
@@ -129,18 +129,17 @@ def write_atomic(path: str | Path, content: str) -> None:
 def _read_text(path: str) -> str | None:
     """A store file's text, or None when there is no such file.
 
-    Bytes are decoded without newline translation, which text mode would
-    add at some cost: every store parser splits lines with ``str.splitlines``,
-    which already takes ``\\r\\n`` and ``\\r`` as one break.
+    Bytes are decoded by ``fields.decode`` without newline translation, which
+    text mode would add at some cost: every store parser splits lines with
+    ``str.splitlines``, which already takes ``\\r\\n`` and ``\\r`` as one break.
     """
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            return decode(fh.read())
     except (FileNotFoundError, IsADirectoryError):
         return None
     except OSError as exc:
         raise StorageFailure(f"read of {path} failed: {exc}") from exc
-    return data.decode("utf-8")
 
 
 def _check_record_id(record_id: str) -> None:
@@ -526,10 +525,9 @@ class RecordStore:
         fails only the readers that ask for it.  A parse error names its file.
         """
         base = self._base(record_id)
-        text = _read_text(path := base + ".rec")
-        if text is None:
-            raise UnknownRecord(record_id)
         try:
+            if (text := _read_text(path := base + ".rec")) is None:
+                raise UnknownRecord(record_id)
             record = parse_record(text)
             if references and (text := _read_text(path := base + ".refs.tsv")) is not None:
                 record.references_digest, record.references = _refs_from_rows(text)

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .errors import DuplicateAlias, EmptySection, MalformedLine, TemplateFieldMissing, in_file
-from .fields import line_blocks
+from .errors import DuplicateAlias, EmptySection, MalformedLine, TemplateFieldMissing
+from .fields import line_blocks, reading
 
 logger = logging.getLogger(__name__)
 
@@ -44,7 +44,7 @@ _OLD_ARXIV_RE = re.compile(r"\b[a-z][a-z-]*(?:\.[A-Za-z]{2})?/\d{7}\b")
 _NEW_ARXIV_RE = re.compile(r"\b(\d{4}\.\d{5})(?:v\d+)?\b")
 _INST_REPORT_RE = re.compile(r"\b[A-Z]{2,}(?:-[A-Z0-9]+)+\b")
 _YEAR_RE = re.compile(r"\(\s*(\d{4})\s*\)|\b(\d{4})\b")
-_LEADING_MARKER_RE = re.compile(r"^\s*(\[\d+\]|\(\d+\)|\d{1,3}\.)\s*")
+_LEADING_MARKER_RE = re.compile(r"^\s*(\[\d+\]|\(\d+\)|\d{1,3}\.(?=\s|$))\s*")
 _TEMPLATE_FIELD_RE = re.compile(r"\{(\w+)\}")
 _TOKEN_RE = re.compile(r"\S+")
 _COMMA_RE = re.compile(",")
@@ -120,8 +120,7 @@ def load_journal_kb(path: str | Path) -> JournalKB:
     lines and ``#`` comments are skipped.
     """
     entries: list[KBEntry] = []
-    text = Path(path).read_text(encoding="utf-8")
-    try:
+    with reading(path) as text:
         for line_no, line in enumerate(text.splitlines(), start=1):
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
@@ -136,9 +135,7 @@ def load_journal_kb(path: str | Path) -> JournalKB:
             aliases = [a.strip() for a in cols[1].split(";") if a.strip()]
             template = cols[2].strip() if len(cols) == 3 and cols[2].strip() else None
             entries.append(KBEntry(canonical, aliases, template))
-    except MalformedLine as exc:
-        raise in_file(exc, path)
-    return JournalKB(entries)
+        return JournalKB(entries)
 
 
 def default_journal_kb_path() -> Path:

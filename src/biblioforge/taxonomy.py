@@ -18,6 +18,7 @@ import re
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -27,9 +28,8 @@ from .errors import (
     DuplicateLabel,
     MalformedLine,
     MissingField,
-    in_file,
 )
-from .fields import key_value_lines, line_blocks
+from .fields import key_value_lines, line_blocks, reading
 
 logger = logging.getLogger(__name__)
 
@@ -194,24 +194,11 @@ class Taxonomy:
         self._composites = [t for t in self.terms.values() if t.is_composite]
 
     def _check_broader_acyclic(self) -> None:
-        state: dict[str, int] = {}  # 0 visiting, 1 done
-        stack: list[str] = []
-
-        def visit(tid: str) -> None:
-            if state.get(tid) == 1:
-                return
-            if state.get(tid) == 0:
-                cycle = stack[stack.index(tid):] + [tid]
-                raise CyclicBroaderLink(cycle)
-            state[tid] = 0
-            stack.append(tid)
-            for ref in self.terms[tid].broader:
-                visit(ref)
-            stack.pop()
-            state[tid] = 1
-
-        for tid in sorted(self.terms):
-            visit(tid)
+        try:
+            TopologicalSorter({tid: t.broader for tid, t in sorted(self.terms.items())}).prepare()
+        except CycleError as exc:
+            # graphlib lists the cycle from broader to narrower
+            raise CyclicBroaderLink(exc.args[1][::-1]) from None
 
     def broader_closure(self, term_id: str) -> set[str]:
         """All term ids reachable through broader links, excluding the term."""
@@ -239,7 +226,6 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
     ``broader:`` (repeatable) and ``composite: <id> + <id>`` fill it in; a
     blank line ends it.  Unknown keys are ignored with a warning.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
     terms: list[TaxonomyTerm] = []
     current: TaxonomyTerm | None = None
     current_pref_line: int | None = None
@@ -251,9 +237,9 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
             raise MissingField("pref", f"term {term.term_id}")
         terms.append(term)
 
-    try:
+    with reading(path) as text:
         # each block is read whole before the blank line after it closes its last term
-        for first, block in line_blocks(lines, lambda line: not line.strip()):
+        for first, block in line_blocks(text.splitlines(), lambda line: not line.strip()):
             for line_no, key, value in key_value_lines(block, first):
                 if not value:
                     raise MalformedLine(f"empty value for key {key!r}", line_no)
@@ -290,9 +276,7 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
                     current.composite_of = (parts[0], parts[1])
             close(current)
             current = None
-    except (MalformedLine, MissingField) as exc:
-        raise in_file(exc, path)
-    return Taxonomy(terms)
+        return Taxonomy(terms)
 
 
 def _match_stream(

@@ -185,15 +185,25 @@ class TestStoredValues:
                 MalformedLine,
                 "line 4: last_run is not an integer: '5.5' in ",
             ),
+            # "\udcff" encodes as the byte 0xff
+            (lambda t: t + "\udcff\n", MalformedLine, "line 6: not valid UTF-8: invalid start byte in "),
         ],
-        ids=["duplicate-key", "no-separator", "missing-owner", "bad-clause", "bad-created", "bad-last-run"],
+        ids=[
+            "duplicate-key",
+            "no-separator",
+            "missing-owner",
+            "bad-clause",
+            "bad-created",
+            "bad-last-run",
+            "not-utf8",
+        ],
     )
     def test_malformed_file_is_named(self, tmp_path: Path, edit, error, text):
         store = AlertStore(tmp_path / "alerts")
         store.register(FieldQuery((QueryClause("title", "contains", "x"),)), "me", now=5)
         bad = store.register(FieldQuery((QueryClause("title", "contains", "y"),)), "you", now=5)
         path = store.root / f"{bad.alert_id}.alert"
-        path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+        path.write_bytes(edit(path.read_text(encoding="utf-8")).encode("utf-8", "surrogateescape"))
         for load in (store.load_all, lambda: store.get(bad.alert_id)):
             with pytest.raises(error, match=re.escape(text) + ".*" + re.escape(str(path))):
                 load()

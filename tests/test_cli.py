@@ -56,7 +56,14 @@ class TestExitCodes:
     def test_bad_flag(self, capsys):
         code, _, err = run(capsys, "ingest", "--no-such-flag", "x")
         assert code == 1
-        assert "usage" in err
+        assert err.startswith("usage: biblioforge")
+        assert err.endswith("\nbiblioforge: error: unrecognized arguments: --no-such-flag\n")
+
+    def test_bad_flag_value_names_the_command(self, capsys):
+        code, _, err = run(capsys, "keywords", "--max", "x")
+        assert code == 1
+        assert err.startswith("usage: biblioforge keywords")
+        assert err.endswith("\nbiblioforge keywords: error: argument --max: invalid int value: 'x'\n")
 
     def test_missing_positional(self, capsys):
         code, _, _ = run(capsys, "ingest")
@@ -238,65 +245,128 @@ def test_full_text_not_utf8_names_record_and_file(capsys, workspace, tmp_path, c
     assert err.startswith(f"error: full text not valid UTF-8 for p1: {store / 'ft' / 'p1.txt'}: ")
 
 
-@pytest.mark.parametrize(
-    "reader", ["ingest-input", "taxonomy", "kb", "config", "rec", "refs-sidecar", "keys-sidecar"]
-)
+READERS = ["ingest-input", "taxonomy", "kb", "config", "rec", "refs-sidecar", "keys-sidecar"]
+
+
+@pytest.mark.parametrize("reader", READERS)
 def test_parse_error_names_its_file(capsys, workspace, reader):
+    check_fault_names_its_file(capsys, workspace, reader, utf8=False)
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_bad_utf8_names_its_file(capsys, workspace, reader):
+    check_fault_names_its_file(capsys, workspace, reader, utf8=True)
+
+
+def check_fault_names_its_file(capsys, workspace, reader, utf8):
+    """Put a fault into the file ``reader`` reads: a line it cannot parse, or a byte not UTF-8."""
     ingest_corpus(capsys, workspace)
     root, store = workspace["root"], workspace["store"]
     shared = ("--store-dir", str(store), "--alerts-dir", str(workspace["alerts"]))
     assert run(capsys, "refextract", *shared)[0] == 0
     assert run(capsys, "keywords", "--taxonomy", str(DATA_DIR / "taxonomy20.tax"), *shared)[0] == 0
     (root / "good.rec").write_text("id: n1\ntitle: New\n", encoding="utf-8")
-    # reader -> (file, its new text, the command that reads it, the fault)
-    path, text, argv, message = {
+    # reader -> (file, its text up to the faulty line, that line, the command that reads it,
+    # the line's fault)
+    path, head, line, argv, message = {
         "ingest-input": (
             root / "bad.rec",
-            "id: n2\ntitle: T\nno separator\n",
+            "id: n2\ntitle: T\n",
+            "no separator\n",
             ["ingest", str(root / "good.rec"), str(root / "bad.rec")],
             "line 3: no key separator",
         ),
         "taxonomy": (
             root / "bad.tax",
-            "term: t\npref: tee\nno separator\n",
+            "term: t\npref: tee\n",
+            "no separator\n",
             ["keywords", "--taxonomy", str(root / "bad.tax")],
             "line 3: no key separator",
         ),
         "kb": (
             root / "bad.tsv",
+            "",
             "Phys. Rev.\n",
             ["refextract", "--kb", str(root / "bad.tsv")],
             "line 1: expected 2 or 3 tab-separated columns, got 1",
         ),
         "config": (
             root / "bad.cfg",
-            f"store_dir: {store}\nno separator\n",
+            f"store_dir: {store}\n",
+            "no separator\n",
             ["citegraph", "--config", str(root / "bad.cfg")],
             "line 2: no key separator",
         ),
         "rec": (
             store / "r01.rec",
-            (store / "r01.rec").read_text(encoding="utf-8") + "no separator\n",
+            (store / "r01.rec").read_text(encoding="utf-8"),
+            "no separator\n",
             ["citegraph"],
             "line 11: no key separator",
         ),
         "refs-sidecar": (
             store / "r01.refs.tsv",
-            "digest\tx\none column\n",
+            "digest\tx\n",
+            "one column\n",
             ["citegraph"],
             "line 2: refs sidecar row has 1 columns",
         ),
         "keys-sidecar": (
             store / "r01.keys.tsv",
+            "",
             "t\tlabel\tnotint\t\t\n",
             ["alerts", "run", "--now", "5000"],
             "invalid literal for int() with base 10: 'notint'",
         ),
     }[reader]
-    path.write_text(text, encoding="utf-8")
+    if utf8:
+        line = "a \udcff byte\n"  # encodes as the byte 0xff
+        message = f"line {head.count(chr(10)) + 1}: not valid UTF-8: invalid start byte"
+    path.write_bytes((head + line).encode("utf-8", "surrogateescape"))
     code, out, err = run(capsys, *argv, *shared)
     assert (code, out) == (1, "")
     assert err == f"error: {message} in {path}\n"
+    # a failed ingest stores nothing, not even the records of a good file before the bad one
+    assert not (store / "n1.rec").exists()
+
+
+@pytest.mark.parametrize(
+    "reader, text, argv, message",
+    [
+        (
+            "taxonomy",
+            "term: a\npref: quark\n\nterm: b\npref: quark\n",
+            ["keywords", "--taxonomy"],
+            "label 'quark' claimed by terms ['a', 'b']",
+        ),
+        (
+            "kb",
+            "Phys. Rev.\tPR\nPhys. Lett.\tPR\n",
+            ["refextract", "--kb"],
+            "alias 'PR' maps to multiple titles ['Phys. Lett.', 'Phys. Rev.']",
+        ),
+        ("config", "damping: 2\n", ["citegraph", "--config"], "damping must be in (0, 1)"),
+    ],
+    ids=["taxonomy-duplicate-label", "kb-duplicate-alias", "config-damping"],
+)
+def test_fault_across_lines_names_its_file(capsys, workspace, reader, text, argv, message):
+    ingest_corpus(capsys, workspace)
+    path = workspace["root"] / f"bad.{reader}"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, *argv, str(path), "--store-dir", str(workspace["store"]))
+    assert (code, out) == (1, "")
+    assert err == f"error: {message} in {path}\n"
+
+
+def test_ingest_of_an_invalid_record_stores_nothing(capsys, workspace):
+    root, store = workspace["root"], workspace["store"]
+    (root / "good.rec").write_text("id: n1\ntitle: New\n", encoding="utf-8")
+    (root / "bad.rec").write_text("id: n2\ntitle: T\nyear: 3000\n", encoding="utf-8")
+    argv = ["ingest", str(root / "good.rec"), str(root / "bad.rec"), "--store-dir", str(store)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: year 3000 outside [1800, 2100] in {root / 'bad.rec'}\n"
+    assert not (store / "n1.rec").exists()
 
 
 class TestUsageCommands:

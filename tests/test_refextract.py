@@ -281,6 +281,13 @@ class TestParseEntry:
         assert entry.page == "345"
         assert entry.year == 2005
 
+    def test_leading_decimal_is_no_marker(self, kb):
+        entry = parse_entry("1.5 TeV jets, Phys. Rev. A 10 (2000) 100", kb)
+        assert entry.marker is None
+        assert (entry.journal, entry.volume, entry.page) == ("Phys. Rev., A", "10", "100")
+        assert parse_entry("12. Phys. Rev. A 10 (2000) 100", kb).marker == "12."
+        assert parse_entry("12.", kb).marker == "12."
+
     def test_old_arxiv_form(self, kb):
         entry = parse_entry("[5] gr-qc/0607062", kb)
         assert entry.report_numbers == ["gr-qc/0607062"]

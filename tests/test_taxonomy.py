@@ -124,6 +124,19 @@ class TestLoadTaxonomy:
         with pytest.raises(CyclicBroaderLink):
             load_taxonomy(path)
 
+    def test_deep_broader_chain(self, tmp_path):
+        # deeper than the interpreter's default recursion limit
+        n = 1501
+        blocks = [f"term: t{i}\npref: label{i}\nbroader: t{i + 1}\n" for i in range(n - 1)]
+        chain = "\n".join(blocks) + f"\nterm: t{n - 1}\npref: label{n - 1}\n"
+        path = tmp_path / "deep.tax"
+        path.write_text(chain, encoding="utf-8")
+        assert len(load_taxonomy(path).broader_closure("t0")) == n - 1
+        path.write_text(chain + "broader: t0\n", encoding="utf-8")
+        with pytest.raises(CyclicBroaderLink) as exc:
+            load_taxonomy(path)
+        assert exc.value.chain == [f"t{i}" for i in range(n)] + ["t0"]
+
     def test_dangling_broader(self, tmp_path):
         path = tmp_path / "dang.tax"
         path.write_text("term: a\npref: aa\nbroader: ghostly\n", encoding="utf-8")
