@@ -38,12 +38,14 @@ print(f"parsed {len(records)} records")
 for r in records:
     print(" ", r.record_id, "-", r.title)
 
-# A store is a directory with one <record_id>.rec file per record.
-# Upserting the same id again replaces the record (last writer wins).
+# A store is a directory of segment files; a batch of upserts adds one
+# records segment. Upserting the same id again replaces the record (the
+# newest block wins).
 with tempfile.TemporaryDirectory() as tmp:
     store = RecordStore(tmp)
-    for r in records:
-        store.upsert(r)
+    with store.batch():
+        for r in records:
+            store.upsert(r)
     print(f"\nstore holds {len(store)} records at {store.root}")
 
     # Queries are AND-combined clauses over metadata fields.

@@ -62,7 +62,7 @@ _SHARED.add_argument("--notifications-dir", type=Path, help="notification output
 def _command(sub, name: str, help: str, func) -> argparse.ArgumentParser:
     """Add command ``name`` with the shared options; ``func`` runs it."""
     parser = sub.add_parser(name, help=help, parents=[_SHARED])
-    parser.set_defaults(func=func)
+    parser.set_defaults(func=func, command_parser=parser)
     return parser
 
 
@@ -137,15 +137,19 @@ def _build_config(args: argparse.Namespace) -> Config:
 
 def cmd_ingest(args, cfg: Config, out) -> None:
     # every record is parsed and checked before the first upsert, so a failed ingest stores nothing
-    records = []
+    records = {}  # id -> the last record given with that id
     for name in args.files:
         with reading(name) as text:
             for record in parse_records_text(text):
                 validate_record(record)
-                records.append(record)
+                if (record_id := record.record_id) in records:
+                    logger.warning("record %s given more than once; the last one is stored",
+                                   record_id)
+                records[record_id] = record
     store = RecordStore(cfg.store_dir)
-    for record in records:
-        store.upsert(record)
+    with store.batch():
+        for record in records.values():
+            store.upsert(record)
     out.write(f"ingested\t{len(records)}\n")
 
 
@@ -154,8 +158,8 @@ def _records_with_text(store: RecordStore, records, settings: str, sidecar: str)
 
     The digest covers the command's settings digest and the full text's bytes, so
     it changes whenever anything the extractor reads does.  A record without
-    a full text loses the command's ``sidecar`` (``.keys.tsv`` or
-    ``.refs.tsv``), if it has one: its rows describe a text the record no
+    a full text loses the command's ``sidecar`` (``keywords`` or
+    ``references``), if it has one: its rows describe a text the record no
     longer names.
     """
     for record in records:
@@ -183,14 +187,15 @@ def cmd_keywords(args, cfg: Config, out) -> None:
     taxonomy = load_taxonomy(cfg.taxonomy_path)
     store = RecordStore(cfg.store_dir)
     records = store.iter_records(references=False)
-    for record, text, digest in _records_with_text(store, records, settings, ".keys.tsv"):
-        assignments = record.keywords
-        if record.keywords_digest != digest:
-            assignments = extract_keywords(text, taxonomy, max_results=args.max)
-            store.write_keywords_sidecar(record.record_id, assignments, digest)
-        for ka in assignments:
-            counts = ",".join(str(c) for c in ka.component_counts) if ka.component_counts else ""
-            out.write(f"{record.record_id}\t{ka.display_label}\t{ka.occurrence}\t{counts}\n")
+    with store.batch():
+        for record, text, digest in _records_with_text(store, records, settings, "keywords"):
+            assignments = record.keywords
+            if record.keywords_digest != digest:
+                assignments = extract_keywords(text, taxonomy, max_results=args.max)
+                store.write_keywords_sidecar(record.record_id, assignments, digest)
+            for ka in assignments:
+                counts = ",".join(map(str, ka.component_counts or ()))
+                out.write(f"{record.record_id}\t{ka.display_label}\t{ka.occurrence}\t{counts}\n")
 
 
 def cmd_refextract(args, cfg: Config, out) -> None:
@@ -200,12 +205,13 @@ def cmd_refextract(args, cfg: Config, out) -> None:
     kb = load_journal_kb(kb_path)
     store = RecordStore(cfg.store_dir)
     records = store.iter_records(keywords=False)
-    for record, text, digest in _records_with_text(store, records, settings, ".refs.tsv"):
-        entries = record.references
-        if record.references_digest != digest:
-            entries = extract_references(text, kb, cfg.heading_patterns)
-            store.write_refs_sidecar(record.record_id, entries, digest)
-        out.write(f"{record.record_id}\t{len(entries)}\n")
+    with store.batch():
+        for record, text, digest in _records_with_text(store, records, settings, "references"):
+            entries = record.references
+            if record.references_digest != digest:
+                entries = extract_references(text, kb, cfg.heading_patterns)
+                store.write_refs_sidecar(record.record_id, entries, digest)
+            out.write(f"{record.record_id}\t{len(entries)}\n")
 
 
 def cmd_citegraph(args, cfg: Config, out) -> None:
@@ -275,7 +281,7 @@ def cmd_alerts_run(args, cfg: Config, out) -> None:
 
 def cmd_export_bibtex(args, cfg: Config, out) -> None:
     store = RecordStore(cfg.store_dir)
-    out.write(export_bibtex(store.get(record_id) for record_id in args.ids))
+    out.write(export_bibtex(store.iter_records(args.ids)))
 
 
 def dispatch(argv=None) -> int:
@@ -284,7 +290,9 @@ def dispatch(argv=None) -> int:
         logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # the chosen command's parser reports what it was given and does not take
+            args.command_parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:  # --help exits 0; a usage error, printed by argparse, exits 2
         return 0 if exc.code in (0, None) else 1
 

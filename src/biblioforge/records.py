@@ -3,30 +3,49 @@
 Records are UTF-8 in the ``key: value`` format of ``fields``, with no empty
 values, separated by a line containing only ``%%``.  Keys ``author``,
 ``report_number`` and ``reference_raw`` repeat; all others are singular.
-A store is a directory holding one ``<record_id>.rec`` file per record,
-with optional ``<record_id>.refs.tsv`` and ``<record_id>.keys.tsv``
-sidecars carrying parsed references and assigned keywords.  The
-enrichment commands write only the sidecars, never the ``.rec`` file.  A
-sidecar may open with a ``digest<TAB><hex>`` line: the digest of the
-inputs its rows were computed from, written in the same file so that it
-always describes the rows beside it.  Sidecars without that line stay
-readable; their rows are simply recomputed by the next enrichment run.
 
-``RecordStore.get`` opens the ``.rec`` file and only the sidecars its
-caller asks for, one ``open`` per file and no separate existence check.
-Each command of ``cli`` names the sidecars its whole-store read asks
-``iter_records`` for, so a damaged sidecar fails only the commands that
-read it.
+A store is a directory of segment files, three kinds of them: records,
+keywords and references.  Each writing command adds one segment per kind
+it wrote, ``seg-<n>.records``, ``seg-<n>.keywords`` or
+``seg-<n>.references``; one counter ``n`` over all kinds orders them.  A
+records segment holds ``%%``-separated record blocks, the format of
+``parse_records_text``.  A sidecar segment holds one block per record: a
+``%%<TAB><record_id>`` header, then the sidecar text, which may open with
+a ``digest<TAB><hex>`` line (the digest of the inputs its rows were
+computed from) and then holds one row per result.  A
+``%%<TAB><record_id><TAB>removed`` header is a tombstone: the record has
+no such sidecar.  Sidecars without a digest line stay readable; their
+rows are simply recomputed by the next enrichment run.  The enrichment
+commands write only sidecar segments, never records.
+
+Per record id and kind, the block of the newest segment wins.  Under
+every segment lie the per-record files of stores written before segments
+(``<record_id>.rec``, ``.keys.tsv`` and ``.refs.tsv``), read as they
+always were; nothing writes them any more.  When a segment is added, it
+is merged with the newest older segment of its kind while that one is at
+most twice the size of the merge, keeping the newest block per id; a
+tombstone is dropped once nothing older can hold its id.  So each segment
+of a kind is more than twice the size of the next newer one, and a kind
+keeps O(log n) segments.
+
+A reader opens the segments of the kinds it asks for, once each, indexes
+where each id's newest block sits and parses only those blocks, one at a
+time, so a damaged sidecar fails only the readers that ask for it.  Each
+command of ``cli`` names the kinds its whole-store read asks
+``iter_records`` for.
 
 Parsing and query matching are pure functions.  The store supports
-concurrent readers with a single writer; each write goes to a temporary
-file in the store directory and is renamed into place (``write_atomic``,
-which the alert store and the notification writer use too).  Record ids
+concurrent readers with a single writer: a segment is written to a
+temporary file in the store directory and linked into place under a name
+no segment has, and a reader whose listed segment was merged away lists
+again.  ``write_atomic``, which the alert store and the notification
+writer use, renames its temporary file into place instead.  Record ids
 are checked before any path is built from them, on read as on write.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 import re
@@ -34,7 +53,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 # _blake2 is what hashlib.blake2b re-exports; importing hashlib itself would
 # load OpenSSL and cost megabytes of resident memory in every command.
@@ -108,20 +127,26 @@ def list_files(root: Path, suffix: str) -> list[str]:
 
 
 def write_atomic(path: str | Path, content: str) -> None:
-    """Replace ``path`` with ``content`` through a fresh temporary file and a rename.
+    """Replace ``path`` with ``content`` through a fresh temporary file and a rename."""
+    _publish(path, [content.encode("utf-8")], os.replace)
+
+
+def _publish(path: str | Path, chunks: Iterable[bytes], place) -> None:
+    """Write ``chunks`` to a fresh temporary file, then call ``place(temporary, path)``.
 
     The temporary file sits beside the target, named ``.tmp-*.tmp`` so no
-    store glob picks it up, and is removed when the write fails.
+    store listing picks it up, and is gone afterwards, whether or not the
+    write succeeded.
     """
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-", suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(content)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+            with os.fdopen(fd, "wb") as fh:
+                fh.writelines(chunks)
+            place(tmp, path)
+        finally:
+            with contextlib.suppress(FileNotFoundError):  # a rename took it
+                os.unlink(tmp)
     except OSError as exc:
         raise StorageFailure(f"write to {path} failed: {exc}") from exc
 
@@ -408,18 +433,21 @@ def _sidecar_text(record_id: str, items: list, digest: str | None, to_rows, read
     return text
 
 
-def _sidecar_rows(text: str, columns: int, kind: str) -> tuple[str | None, list[list[str]]]:
-    """(digest, rows) of a sidecar; the digest is None when the first line is not one.
+def _sidecar_rows(
+    text: str, columns: int, kind: str, first_line: int
+) -> tuple[str | None, list[list[str]]]:
+    """(digest, rows) of a sidecar whose text starts on ``first_line`` of its file.
 
-    A digest line has two columns and every row more, so the two never mix.
+    The digest is None when the first line is not one.  A digest line has
+    two columns and every row more, so the two never mix.
     """
     digest = None
     rows = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(text.splitlines(), start=first_line):
         if not line:
             continue
         cols = line.split("\t")
-        if line_no == 1 and len(cols) == 2 and cols[0] == _DIGEST_KEY:
+        if line_no == first_line and len(cols) == 2 and cols[0] == _DIGEST_KEY:
             digest = cols[1]
         elif len(cols) != columns:
             raise MalformedLine(f"{kind} sidecar row has {len(cols)} columns", line_no)
@@ -442,8 +470,8 @@ def _refs_rows(entries: Iterable[CitationEntry]) -> Iterator[list[str]]:
         ]
 
 
-def _refs_from_rows(text: str) -> tuple[str | None, list[CitationEntry]]:
-    digest, rows = _sidecar_rows(text, 8, "refs")
+def _refs_from_rows(text: str, first_line: int = 1) -> tuple[str | None, list[CitationEntry]]:
+    digest, rows = _sidecar_rows(text, 8, "refs", first_line)
     entries = [
         CitationEntry(
             raw=raw,
@@ -471,8 +499,8 @@ def _keys_rows(assignments: Iterable[KeywordAssignment]) -> Iterator[list[str]]:
         ]
 
 
-def _keys_from_rows(text: str) -> tuple[str | None, list[KeywordAssignment]]:
-    digest, rows = _sidecar_rows(text, 5, "keys")
+def _keys_from_rows(text: str, first_line: int = 1) -> tuple[str | None, list[KeywordAssignment]]:
+    digest, rows = _sidecar_rows(text, 5, "keys", first_line)
     assignments = [
         KeywordAssignment(
             term_id=term_id,
@@ -488,21 +516,168 @@ def _keys_from_rows(text: str) -> tuple[str | None, list[KeywordAssignment]]:
     return digest, assignments
 
 
-class RecordStore:
-    """Directory-backed record store: one ``<record_id>.rec`` per record.
 
-    Reads are safe from many threads; writes require a single writer and
-    are atomic per file (write to a temporary file, then rename).
+
+# --- segments --------------------------------------------------------------
+
+# Per kind, the suffix of the per-record files below every segment.
+_FILE_SUFFIXES = {"records": ".rec", "keywords": ".keys.tsv", "references": ".refs.tsv"}
+_SEGMENT_NAME = re.compile(r"seg-([0-9]+)\.(records|keywords|references)")
+_REMOVED = "removed"
+_NOT_INDEXED = object()
+
+
+def _parse_part(kind: str, text: str, first_line: int):
+    """A record, or the (digest, items) of a sidecar, from a block starting on ``first_line``."""
+    if kind == "records":
+        return parse_record(text, first_line - 1)
+    if kind == "keywords":
+        return _keys_from_rows(text, first_line)
+    return _refs_from_rows(text, first_line)
+
+
+def _header(kind: str, record_id: str, removed: bool = False) -> bytes:
+    """The line that opens a block; a records block's own first line names its id."""
+    if kind == "records":
+        return b"%%\n"
+    return f"%%\t{record_id}\t{_REMOVED}\n".encode() if removed else f"%%\t{record_id}\n".encode()
+
+
+def _block_size(kind: str, record_id: str, body: bytes | tuple | None) -> int:
+    """Bytes of a block whose body is given, indexed (see ``RecordStore._index``) or a tombstone."""
+    length = 0 if body is None else len(body) if isinstance(body, bytes) else body[3]
+    return len(_header(kind, record_id, body is None)) + length
+
+
+def _decode_at(data: bytes, first_line: int) -> str:
+    """``fields.decode`` of text that starts on line ``first_line`` of its file."""
+    try:
+        return decode(data)
+    except MalformedLine as exc:
+        raise MalformedLine(exc.reason, exc.line_no + first_line - 1) from None
+
+
+def _read_header(line: bytes, kind: str, line_no: int) -> tuple[str | None, bool] | None:
+    """``(record_id, removed)`` of a block header, or None for any other line.
+
+    Every header starts with ``%%``.  A records header names no id: the
+    block's own first line does.
+    """
+    if kind == "records":
+        return (None, False) if line.strip() == b"%%" else None
+    if not line.startswith(b"%%\t"):
+        return None
+    cells = _decode_at(line, line_no).rstrip("\n").split("\t")
+    if len(cells) == 2:
+        return cells[1], False
+    if len(cells) == 3 and cells[2] == _REMOVED:
+        return cells[1], True
+    return None  # a sidecar row whose first cell is "%%"
+
+
+def _scan(fh: BinaryIO, kind: str) -> list[tuple[str, int, int, int]]:
+    """``(record_id, offset, length, first_line)`` of each block of a segment, in file order.
+
+    Offset, length and first line locate the block's text below its header;
+    a tombstone has length -1.  A line outside every block, or a records
+    block that does not open with its id, is a MalformedLine.
+    """
+    blocks = []
+    current = None  # (record_id, offset, first_line) of the open block; no id yet after "%%"
+    pos = line_no = 0
+    for line_no, line in enumerate(fh, start=1):
+        header = _read_header(line, kind, line_no) if line[:2] == b"%%" else None
+        if current is not None and current[0] is None:
+            key, _, value = _decode_at(line, line_no).partition(":")
+            if header is not None or key.strip() != "id" or not value.strip():
+                raise MalformedLine("segment block does not open with its id", line_no)
+            current = (value.strip(), pos, line_no)
+        elif header is not None:
+            if current is not None:
+                blocks.append((current[0], current[1], pos - current[1], current[2]))
+            record_id, removed = header
+            current = None if removed else (record_id, pos + len(line), line_no + 1)
+            if removed:
+                blocks.append((record_id, pos, -1, line_no))
+        elif current is None:
+            raise MalformedLine("line outside every segment block", line_no)
+        pos += len(line)
+    if current is not None:
+        if current[0] is None:
+            raise MalformedLine("segment block does not open with its id", line_no + 1)
+        blocks.append((current[0], current[1], pos - current[1], current[2]))
+    return blocks
+
+
+class _Listing:
+    """One scan of a store directory: its segments and its per-record files."""
+
+    def __init__(self, root: Path):
+        self.segments: dict[str, list[tuple[int, int]]] = {kind: [] for kind in _FILE_SUFFIXES}
+        self.files: dict[str, set[str]] = {kind: set() for kind in _FILE_SUFFIXES}
+        self.last = 0
+        try:
+            with os.scandir(root) as entries:
+                for entry in entries:
+                    if not entry.is_file():
+                        continue
+                    if match := _SEGMENT_NAME.fullmatch(entry.name):
+                        n = int(match[1])
+                        self.segments[match[2]].append((n, entry.stat().st_size))
+                        self.last = max(self.last, n)
+                        continue
+                    for kind, suffix in _FILE_SUFFIXES.items():
+                        if entry.name.endswith(suffix) and entry.name != suffix:
+                            self.files[kind].add(entry.name[: -len(suffix)])
+        except OSError as exc:
+            raise StorageFailure(f"listing of {root} failed: {exc}") from exc
+        for numbered in self.segments.values():
+            numbered.sort()  # oldest first
+
+
+class RecordStore:
+    """Directory-backed record store of segment files, newest block per id winning.
+
+    Reads are safe from many threads; writes require a single writer.
+    Outside ``batch``, each write adds a one-block segment at once.
     """
 
     def __init__(self, root: str | Path):
         self.root = make_dir(root, "store")
         self._prefix = os.path.join(self.root, "")
+        self._pending: dict[str, dict[str, bytes | None]] | None = None
 
-    def _base(self, record_id: str) -> str:
-        """A record's file path without suffix; the id is checked first."""
+    def _segment(self, n: int, kind: str) -> str:
+        return f"{self._prefix}seg-{n}.{kind}"
+
+    # --- writing -----------------------------------------------------------
+
+    @contextlib.contextmanager
+    def batch(self) -> Iterator[None]:
+        """Hold back the writes of the ``with`` body, then add one segment per kind written.
+
+        The segments are added however the body exits, so the writes made
+        before an exception are kept.  Readers see none of the body's writes
+        until it exits; a nested ``batch`` joins the outer one.
+        """
+        if self._pending is not None:
+            yield
+            return
+        self._pending = {}
+        try:
+            yield
+        finally:
+            pending, self._pending = self._pending, None
+            for kind, blocks in pending.items():
+                self._add_segment(kind, blocks)
+
+    def _write(self, kind: str, record_id: str, body: bytes | None) -> None:
+        """Store ``body`` as the newest block of ``record_id``; None removes the sidecar."""
         _check_record_id(record_id)
-        return self._prefix + record_id
+        if self._pending is None:
+            self._add_segment(kind, {record_id: body})
+        else:
+            self._pending.setdefault(kind, {})[record_id] = body
 
     def upsert(self, record: BibRecord) -> BibRecord:
         """Insert or replace a record; latest content wins per record id.
@@ -513,28 +688,7 @@ class RecordStore:
         validate_record(record)
         if record.ingest_time is None:
             record.ingest_time = int(time.time())
-        write_atomic(self._base(record.record_id) + ".rec", serialize_record(record))
-        return record
-
-    def get(
-        self, record_id: str, *, keywords: bool = True, references: bool = True
-    ) -> BibRecord:
-        """Load a record, merging the keyword and reference sidecars asked for.
-
-        A sidecar left out is neither opened nor decoded, so a damaged one
-        fails only the readers that ask for it.  A parse error names its file.
-        """
-        base = self._base(record_id)
-        try:
-            if (text := _read_text(path := base + ".rec")) is None:
-                raise UnknownRecord(record_id)
-            record = parse_record(text)
-            if references and (text := _read_text(path := base + ".refs.tsv")) is not None:
-                record.references_digest, record.references = _refs_from_rows(text)
-            if keywords and (text := _read_text(path := base + ".keys.tsv")) is not None:
-                record.keywords_digest, record.keywords = _keys_from_rows(text)
-        except (MalformedLine, MissingField, ValueError) as exc:
-            raise in_file(exc, path)
+        self._write("records", record.record_id, serialize_record(record).encode())
         return record
 
     def write_refs_sidecar(
@@ -542,35 +696,191 @@ class RecordStore:
     ) -> None:
         """Write the references sidecar, led by the digest of its inputs when given."""
         text = _sidecar_text(record_id, list(entries), digest, _refs_rows, _refs_from_rows)
-        write_atomic(self._base(record_id) + ".refs.tsv", text)
+        self._write("references", record_id, text.encode())
 
     def write_keywords_sidecar(
         self, record_id: str, assignments: Iterable[KeywordAssignment], digest: str | None = None
     ) -> None:
         """Write the keywords sidecar, led by the digest of its inputs when given."""
         text = _sidecar_text(record_id, list(assignments), digest, _keys_rows, _keys_from_rows)
-        write_atomic(self._base(record_id) + ".keys.tsv", text)
+        self._write("keywords", record_id, text.encode())
 
-    def remove_sidecar(self, record_id: str, suffix: str) -> None:
-        """Delete a record's ``.refs.tsv`` or ``.keys.tsv`` sidecar, if there is one."""
-        path = Path(self._base(record_id) + suffix)
+    def remove_sidecar(self, record_id: str, kind: str) -> None:
+        """Remove a record's ``keywords`` or ``references`` sidecar, if it has one."""
+        if kind not in ("keywords", "references"):
+            raise ValueError(f"not a sidecar kind: {kind!r}")
+        self._write(kind, record_id, None)
+
+    def _add_segment(self, kind: str, blocks: dict[str, bytes | None]) -> None:
+        """Add a segment of ``blocks`` (None for a removal), merged with older ones by size.
+
+        A removal becomes a tombstone only where an older layer holds the
+        sidecar; no segment is added when nothing is left to write.
+        """
+        listing = _Listing(self.root)
+        older = listing.segments[kind]
+        with contextlib.ExitStack() as stack:
+            if removed := {rid for rid, body in blocks.items() if body is None}:
+                held = self._index(kind, [n for n, _ in older], stack, removed)
+                for rid in removed:
+                    loc = held.get(rid, _NOT_INDEXED)
+                    if loc is None or (loc is _NOT_INDEXED and rid not in listing.files[kind]):
+                        del blocks[rid]
+                if not blocks:
+                    return
+            merged: dict[str, bytes | tuple | None] = dict(blocks)
+            size = sum(_block_size(kind, rid, body) for rid, body in blocks.items())
+            replaced = []
+            while older and older[-1][1] <= 2 * size:
+                n, _ = older.pop()
+                for rid, loc in self._index(kind, [n], stack).items():
+                    if rid not in merged:
+                        merged[rid] = loc
+                        size += _block_size(kind, rid, loc)
+                replaced.append(n)
+            if not older:  # nothing older can hold the id of a tombstone
+                for rid in [rid for rid, body in merged.items() if body is None]:
+                    if rid not in listing.files[kind]:
+                        del merged[rid]
+
+            def chunks() -> Iterator[bytes]:
+                for rid in sorted(merged):
+                    body = merged[rid]
+                    yield _header(kind, rid, body is None)
+                    if isinstance(body, tuple):
+                        _, fh, offset, length, _ = body
+                        fh.seek(offset)
+                        yield fh.read(length)
+                    elif body is not None:
+                        yield body
+
+            if merged:
+                _publish(self._segment(listing.last + 1, kind), chunks(), os.link)
+        for n in replaced:
+            path = self._segment(n, kind)
+            try:
+                os.unlink(path)
+            except OSError as exc:
+                raise StorageFailure(f"removal of merged segment {path} failed: {exc}") from exc
+
+    # --- reading -----------------------------------------------------------
+
+    def _index(
+        self, kind: str, numbers: list[int], stack: contextlib.ExitStack, wanted=None
+    ) -> dict[str, tuple[str, BinaryIO, int, int, int] | None]:
+        """Where each id's newest block sits in the numbered segments of ``kind``.
+
+        The value is ``(path, open file, offset, length, first_line)``, or
+        None for a tombstone; with ``wanted``, only those ids are indexed.
+        The files stay open until ``stack`` closes.  FileNotFoundError
+        passes through for a segment that is gone.
+        """
+        index = {}
+        for n in numbers:
+            path = self._segment(n, kind)
+            try:
+                fh = stack.enter_context(open(path, "rb"))
+                blocks = _scan(fh, kind)
+            except FileNotFoundError:
+                raise
+            except OSError as exc:
+                raise StorageFailure(f"read of {path} failed: {exc}") from exc
+            except MalformedLine as exc:
+                raise in_file(exc, path)
+            for rid, offset, length, first_line in blocks:
+                if wanted is None or rid in wanted:
+                    index[rid] = None if length < 0 else (path, fh, offset, length, first_line)
+        return index
+
+    def _open(self, kinds: list[str], stack: contextlib.ExitStack, wanted=None):
+        """A listing and an index per kind, listing again if a merge removes a listed segment."""
+        while True:
+            listing = _Listing(self.root)
+            with contextlib.ExitStack() as attempt:
+                try:
+                    indexes = {
+                        kind: self._index(kind, [n for n, _ in numbered], attempt, wanted)
+                        for kind, numbered in listing.segments.items()
+                        if kind in kinds
+                    }
+                except FileNotFoundError:
+                    continue
+                stack.enter_context(attempt.pop_all())
+                return listing, indexes
+
+    def _part(self, kind: str, record_id: str, indexes: dict, listing: _Listing):
+        """The parsed ``kind`` part of a record from its newest block, else its per-record file.
+
+        None when the record has no such part; a parse error names its file.
+        """
+        loc = indexes[kind].get(record_id, _NOT_INDEXED)
+        if loc is None:
+            return None
         try:
-            path.unlink(missing_ok=True)
+            if loc is _NOT_INDEXED:
+                if record_id not in listing.files[kind]:
+                    return None
+                path = self._prefix + record_id + _FILE_SUFFIXES[kind]
+                if (text := _read_text(path)) is None:
+                    return None
+                return _parse_part(kind, text, 1)
+            path, fh, offset, length, first_line = loc
+            fh.seek(offset)
+            return _parse_part(kind, _decode_at(fh.read(length), first_line), first_line)
+        except (MalformedLine, MissingField, ValueError) as exc:
+            raise in_file(exc, path)
         except OSError as exc:
-            raise StorageFailure(f"removal of {path} failed: {exc}") from exc
+            raise StorageFailure(f"read of {path} failed: {exc}") from exc
+
+    def iter_records(
+        self,
+        record_ids: Iterable[str] | None = None,
+        *,
+        keywords: bool = True,
+        references: bool = True,
+    ) -> Iterator[BibRecord]:
+        """The records of ``record_ids`` in the order given, or every record in id order.
+
+        Each record carries the sidecars asked for; a kind left out is
+        neither opened nor decoded, so a damaged sidecar fails only the
+        readers that ask for it.  UnknownRecord for a named id not stored.
+        """
+        if record_ids is not None:
+            record_ids = list(record_ids)
+            for record_id in record_ids:
+                _check_record_id(record_id)
+        kinds = ["records"]
+        kinds += ["references"] if references else []
+        kinds += ["keywords"] if keywords else []
+        with contextlib.ExitStack() as stack:
+            wanted = None if record_ids is None else set(record_ids)
+            listing, indexes = self._open(kinds, stack, wanted)
+            if record_ids is None:
+                record_ids = sorted(indexes["records"].keys() | listing.files["records"])
+            for record_id in record_ids:
+                record = self._part("records", record_id, indexes, listing)
+                if record is None:
+                    raise UnknownRecord(record_id)
+                if references and (part := self._part("references", record_id, indexes, listing)):
+                    record.references_digest, record.references = part
+                if keywords and (part := self._part("keywords", record_id, indexes, listing)):
+                    record.keywords_digest, record.keywords = part
+                yield record
+
+    def get(
+        self, record_id: str, *, keywords: bool = True, references: bool = True
+    ) -> BibRecord:
+        """Load a record, merging the keyword and reference sidecars asked for."""
+        [record] = self.iter_records([record_id], keywords=keywords, references=references)
+        return record
 
     def record_ids(self) -> list[str]:
-        return list_files(self.root, ".rec")
+        with contextlib.ExitStack() as stack:
+            listing, indexes = self._open(["records"], stack)
+            return sorted(indexes["records"].keys() | listing.files["records"])
 
     def __len__(self) -> int:
         return len(self.record_ids())
-
-    def iter_records(
-        self, *, keywords: bool = True, references: bool = True
-    ) -> Iterator[BibRecord]:
-        """Every record in id order, read by ``get`` with the sidecars asked for."""
-        for record_id in self.record_ids():
-            yield self.get(record_id, keywords=keywords, references=references)
 
     def fulltext_file(self, record: BibRecord) -> Path | None:
         """Full-text file for a record; relative paths resolve in the store."""

@@ -36,6 +36,11 @@ def store(tmp_path: Path) -> RecordStore:
     return RecordStore(tmp_path / "records")
 
 
+def segment_files(root: Path, kind: str = "*") -> list[Path]:
+    """The segment files of one kind (``records``, ``keywords``, ``references``) in a store, oldest first."""
+    return sorted(root.glob(f"seg-*.{kind}"), key=lambda p: int(p.name.split(".")[0][4:]))
+
+
 def graph_fixture_records() -> list[BibRecord]:
     """Ten records with 14 citation entries, 3 deliberately unresolvable.
 

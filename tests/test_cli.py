@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from biblioforge import RecordStore
 from biblioforge.cli import dispatch
 
+from .conftest import segment_files
+
 DATA_DIR = Path(__file__).parent / "data"
 CORPUS = DATA_DIR / "corpus"
 
@@ -56,8 +58,8 @@ class TestExitCodes:
     def test_bad_flag(self, capsys):
         code, _, err = run(capsys, "ingest", "--no-such-flag", "x")
         assert code == 1
-        assert err.startswith("usage: biblioforge")
-        assert err.endswith("\nbiblioforge: error: unrecognized arguments: --no-such-flag\n")
+        assert err.startswith("usage: biblioforge ingest")
+        assert err.endswith("\nbiblioforge ingest: error: unrecognized arguments: --no-such-flag\n")
 
     def test_bad_flag_value_names_the_command(self, capsys):
         code, _, err = run(capsys, "keywords", "--max", "x")
@@ -94,7 +96,9 @@ class TestExitCodes:
 class TestIngestAndExport:
     def test_ingest_counts(self, capsys, workspace):
         ingest_corpus(capsys, workspace)
-        assert len(list(workspace["store"].glob("*.rec"))) == 8
+        store = workspace["store"]
+        assert sorted(p.name for p in store.iterdir() if p.is_file()) == ["seg-1.records"]
+        assert RecordStore(store).record_ids() == [f"r{i:02d}" for i in range(1, 9)]
 
     def test_export_in_given_order(self, capsys, workspace):
         ingest_corpus(capsys, workspace)
@@ -162,7 +166,8 @@ class TestKeywordsCommand:
         rows = [line.split("\t") for line in out.splitlines()]
         assert all(len(r) == 4 for r in rows)
         assert any(r[0] == "r01" and r[1] == "dilaton" for r in rows)
-        assert (workspace["store"] / "r01.keys.tsv").is_file()
+        (segment,) = segment_files(workspace["store"], "keywords")
+        assert "%%\tr01\ndigest\t" in segment.read_text(encoding="utf-8")
         # records without full text contribute no rows
         assert not any(r[0] in ("r07", "r08") for r in rows)
 
@@ -176,7 +181,7 @@ class TestKeywordsCommand:
         assert code == 1
         assert out == ""
         assert "line 2" in err
-        assert list(workspace["store"].glob("*.keys.tsv")) == []
+        assert segment_files(workspace["store"], "keywords") == []
 
 
 class TestReferencePipeline:
@@ -185,7 +190,8 @@ class TestReferencePipeline:
         code, out, _ = run(capsys, "refextract", "--store-dir", str(workspace["store"]))
         assert code == 0
         assert "r01\t2\n" in out
-        assert (workspace["store"] / "r01.refs.tsv").is_file()
+        (segment,) = segment_files(workspace["store"], "references")
+        assert "%%\tr01\ndigest\t" in segment.read_text(encoding="utf-8")
 
         code, out, err = run(capsys, "citegraph", "--store-dir", str(workspace["store"]))
         assert code == 0
@@ -266,8 +272,10 @@ def check_fault_names_its_file(capsys, workspace, reader, utf8):
     assert run(capsys, "refextract", *shared)[0] == 0
     assert run(capsys, "keywords", "--taxonomy", str(DATA_DIR / "taxonomy20.tax"), *shared)[0] == 0
     (root / "good.rec").write_text("id: n1\ntitle: New\n", encoding="utf-8")
+    records, refs, keys = (segment_files(store, kind)[0] for kind in ("records", "references", "keywords"))
     # reader -> (file, its text up to the faulty line, that line, the command that reads it,
-    # the line's fault)
+    # the line's fault); in a store, the fault goes to the end of a segment's last block, or of
+    # a block added for r01, which wins over r01's first block in that segment
     path, head, line, argv, message = {
         "ingest-input": (
             root / "bad.rec",
@@ -298,22 +306,22 @@ def check_fault_names_its_file(capsys, workspace, reader, utf8):
             "line 2: no key separator",
         ),
         "rec": (
-            store / "r01.rec",
-            (store / "r01.rec").read_text(encoding="utf-8"),
+            records,
+            records.read_text(encoding="utf-8"),
             "no separator\n",
             ["citegraph"],
-            "line 11: no key separator",
+            "line 78: no key separator",
         ),
         "refs-sidecar": (
-            store / "r01.refs.tsv",
-            "digest\tx\n",
+            refs,
+            refs.read_text(encoding="utf-8") + "%%\tr01\ndigest\tx\n",
             "one column\n",
             ["citegraph"],
-            "line 2: refs sidecar row has 1 columns",
+            "line 27: refs sidecar row has 1 columns",
         ),
         "keys-sidecar": (
-            store / "r01.keys.tsv",
-            "",
+            keys,
+            keys.read_text(encoding="utf-8") + "%%\tr01\n",
             "t\tlabel\tnotint\t\t\n",
             ["alerts", "run", "--now", "5000"],
             "invalid literal for int() with base 10: 'notint'",
@@ -327,7 +335,8 @@ def check_fault_names_its_file(capsys, workspace, reader, utf8):
     assert (code, out) == (1, "")
     assert err == f"error: {message} in {path}\n"
     # a failed ingest stores nothing, not even the records of a good file before the bad one
-    assert not (store / "n1.rec").exists()
+    assert segment_files(store, "records") == [records]
+    assert "n1" not in RecordStore(store).record_ids()
 
 
 @pytest.mark.parametrize(
@@ -366,7 +375,32 @@ def test_ingest_of_an_invalid_record_stores_nothing(capsys, workspace):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == f"error: year 3000 outside [1800, 2100] in {root / 'bad.rec'}\n"
-    assert not (store / "n1.rec").exists()
+    assert list(store.glob("*")) == []
+
+
+def test_ingest_keeps_the_last_of_records_sharing_an_id(capsys, workspace, caplog):
+    probe = workspace["root"] / "probe.rec"
+    probe.write_text("id: a\ntitle: One\n%%\nid: a\ntitle: Two\n", encoding="utf-8")
+    with caplog.at_level(logging.WARNING):
+        code, out, _ = run(capsys, "ingest", str(probe), "--store-dir", str(workspace["store"]))
+    assert (code, out) == (0, "ingested\t1\n")
+    assert [r.getMessage() for r in caplog.records] == [
+        "record a given more than once; the last one is stored"
+    ]
+    assert RecordStore(workspace["store"]).get("a").title == "Two"
+
+
+def test_each_writing_command_adds_one_segment_per_kind(capsys, workspace):
+    ingest_corpus(capsys, workspace)
+    store = workspace["store"]
+    keywords = ("keywords", "--taxonomy", str(DATA_DIR / "taxonomy20.tax"), "--store-dir", str(store))
+    assert run(capsys, *keywords)[0] == 0
+    assert run(capsys, "refextract", "--store-dir", str(store))[0] == 0
+    files = {p.name: p.read_bytes() for p in store.iterdir() if p.is_file()}
+    assert sorted(files) == ["seg-1.records", "seg-2.keywords", "seg-3.references"]
+    # nothing changed, so a second run writes nothing
+    assert run(capsys, *keywords)[0] == 0
+    assert {p.name: p.read_bytes() for p in store.iterdir() if p.is_file()} == files
 
 
 class TestUsageCommands:

@@ -14,6 +14,8 @@ import pytest
 from biblioforge import RecordStore, cli, default_journal_kb_path
 from biblioforge.cli import dispatch
 
+from .conftest import segment_files
+
 DATA_DIR = Path(__file__).parent / "data"
 CORPUS = DATA_DIR / "corpus"
 WITH_TEXT = [f"r{i:02d}" for i in range(1, 7)]  # r07 and r08 have no full text
@@ -75,6 +77,15 @@ def refextract(ws, *extra: str) -> str:
     return out.read_text(encoding="utf-8")
 
 
+def kind(command) -> str:
+    """The sidecar kind a command writes."""
+    return "keywords" if command is keywords else "references"
+
+
+def store_files(ws) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in ws["store"].iterdir() if p.is_file()}
+
+
 def touched(counted: Counted) -> list[str]:
     """Record ids recomputed since the last reset; every extraction is also written."""
     assert len(counted.extracted) == len(counted.written)
@@ -91,11 +102,11 @@ class TestInvalidation:
     def test_unchanged_store_reuses_every_result(self, ws, counted, command):
         first = command(ws)
         assert touched(counted) == WITH_TEXT
-        sidecars = {p.name: p.read_bytes() for p in ws["store"].glob("*.tsv")}
+        files = store_files(ws)
         counted.reset()
         assert command(ws) == first
         assert touched(counted) == []
-        assert {p.name: p.read_bytes() for p in ws["store"].glob("*.tsv")} == sidecars
+        assert store_files(ws) == files
 
     def test_changed_full_text_recomputes_that_record(self, ws, counted, command):
         first = command(ws)
@@ -108,22 +119,26 @@ class TestInvalidation:
     def test_deleted_sidecar_recomputes_that_record(self, ws, counted, command):
         first = command(ws)
         counted.reset()
-        for sidecar in ws["store"].glob("r05.*.tsv"):
-            sidecar.unlink()
+        store = RecordStore(ws["store"])
+        store.remove_sidecar("r05", kind(command))
+        assert getattr(store.get("r05"), kind(command)) == []
         assert command(ws) == first
         assert touched(counted) == ["r05"]
 
     def test_sidecar_without_digest_recomputes_that_record(self, ws, counted, command):
         first = command(ws)
         counted.reset()
-        (sidecar,) = ws["store"].glob("r02.*.tsv")
-        lines = sidecar.read_text(encoding="utf-8").splitlines(keepends=True)
-        assert lines[0].startswith("digest\t")
-        sidecar.write_text("".join(lines[1:]), encoding="utf-8")  # as older versions wrote it
+        (segment,) = segment_files(ws["store"], kind(command))
+        text = segment.read_text(encoding="utf-8")
+        start = text.index("%%\tr02\n")
+        block = text[start : text.index("%%\t", start + 1)]
+        lines = block.splitlines(keepends=True)
+        assert lines[1].startswith("digest\t")
+        segment.write_text(text.replace(block, lines[0] + "".join(lines[2:])), encoding="utf-8")
         assert RecordStore(ws["store"]).get("r02") is not None
         assert command(ws) == first
         assert touched(counted) == ["r02"]
-        assert sidecar.read_text(encoding="utf-8") == "".join(lines)
+        assert segment_files(ws["store"], kind(command))[-1].read_text(encoding="utf-8") == block
 
     def test_missing_full_text_fails_as_before(self, ws, counted, command, capsys):
         command(ws)
@@ -147,7 +162,8 @@ def test_dropped_full_text_removes_the_sidecar(ws, command):
     assert dispatch(["ingest", str(probe), "--store-dir", str(ws["store"])]) == 0
     assert "p1\t" not in command(ws)
     assert store.get("p1").keywords == [] and store.get("p1").references == []
-    assert list(ws["store"].glob("p1.*.tsv")) == []
+    newest = segment_files(ws["store"], kind(command))[-1].read_text(encoding="utf-8")
+    assert newest == "%%\tp1\tremoved\n"
 
 
 class TestSettingsInvalidate:
@@ -199,9 +215,10 @@ class TestSettingsInvalidate:
 
 
 def test_refextract_leaves_record_file_alone(ws):
-    rec = ws["store"] / "r01.rec"
+    (rec,) = segment_files(ws["store"], "records")
     before = rec.read_bytes()
     assert "r01\t2\n" in refextract(ws)
+    assert segment_files(ws["store"], "records") == [rec]
     assert rec.read_bytes() == before
     assert b"reference_raw" not in before
     references = RecordStore(ws["store"]).get("r01").references

@@ -25,6 +25,8 @@ from biblioforge import (
 from biblioforge import records as records_module
 from biblioforge.cli import dispatch
 
+from .conftest import segment_files
+
 DATA_DIR = Path(__file__).parent / "data"
 CORPUS = DATA_DIR / "corpus"
 DAMAGED_ROW = "not a sidecar row\n"
@@ -83,12 +85,16 @@ class TestGetParts:
         monkeypatch.setattr(records_module, "open", recording_open, raising=False)
         store.get("r1", keywords=False)
         store.get("r1", references=False)
-        assert [Path(path).name for path in opened] == ["r1.rec", "r1.refs.tsv", "r1.rec", "r1.keys.tsv"]
+        assert [Path(path).name for path in opened] == [
+            "seg-1.records", "seg-2.references", "seg-1.records", "seg-3.keywords"
+        ]
 
-    @pytest.mark.parametrize("suffix, part", [(".refs.tsv", "references"), (".keys.tsv", "keywords")])
-    def test_damaged_sidecar_fails_only_its_readers(self, enriched, suffix, part):
+    # each id names the kind's per-record suffix and the kind
+    @pytest.mark.parametrize("part", ["references", "keywords"], ids=[".refs.tsv-references", ".keys.tsv-keywords"])
+    def test_damaged_sidecar_fails_only_its_readers(self, enriched, part):
         store, expected = enriched
-        (store.root / f"r1{suffix}").write_text(DAMAGED_ROW, encoding="utf-8")
+        (segment,) = segment_files(store.root, part)
+        segment.write_text("%%\tr1\n" + DAMAGED_ROW, encoding="utf-8")
         with pytest.raises(MalformedLine):
             store.get("r1")
         record = store.get("r1", **{part: False})
@@ -102,8 +108,9 @@ class TestGetParts:
 
     def test_directory_named_like_a_sidecar_is_absent(self, enriched):
         store, expected = enriched
-        (store.root / "r1.keys.tsv").unlink()
-        (store.root / "r1.keys.tsv").mkdir()
+        (segment,) = segment_files(store.root, "keywords")
+        segment.unlink()
+        segment.mkdir()
         assert store.get("r1").keywords == []
         assert store.get("r1").references == expected.references
 
@@ -111,18 +118,18 @@ class TestGetParts:
         store, expected = enriched
 
         def failing_open(path, *args, **kwargs):
-            if str(path).endswith(".keys.tsv"):
+            if str(path).endswith(".keywords"):
                 raise PermissionError(13, "Permission denied", str(path))
             return builtins.open(path, *args, **kwargs)
 
         monkeypatch.setattr(records_module, "open", failing_open, raising=False)
-        with pytest.raises(StorageFailure, match="r1.keys.tsv"):
+        with pytest.raises(StorageFailure, match="seg-3.keywords"):
             store.get("r1")
         assert store.get("r1", keywords=False).references == expected.references
 
     def test_record_ids_lists_only_record_files(self, enriched):
         store, _ = enriched
-        for name in (".rec", ".tmp-abc.tmp", "r2.rec.bak", "r3.keys.tsv"):
+        for name in (".rec", ".tmp-abc.tmp", "r2.rec.bak", "r3.keys.tsv", "seg-x.records", "seg-9.records.bak"):
             (store.root / name).write_text("", encoding="utf-8")
         (store.root / "ft").mkdir()
         assert store.record_ids() == ["r1"]
@@ -161,13 +168,14 @@ def workspace(tmp_path: Path) -> Path:
     return ws
 
 
-def _damaged_copy(ws: Path, suffix: str) -> Path:
-    copy = ws.parent / f"damaged{suffix}"
+def _damaged_copy(ws: Path, kind: str) -> Path:
+    """A copy of the workspace in which every block of the ``kind`` segment is damaged."""
+    copy = ws.parent / f"damaged-{kind}"
     shutil.copytree(ws, copy)
-    damaged = sorted((copy / "store").glob(f"*{suffix}"))
-    assert len(damaged) == 6  # every record with a full text
-    for path in damaged:
-        path.write_text(DAMAGED_ROW, encoding="utf-8")
+    (segment,) = segment_files(copy / "store", kind)
+    headers = [line for line in segment.read_text(encoding="utf-8").splitlines() if line.startswith("%%\t")]
+    assert len(headers) == 6  # every record with a full text
+    segment.write_text("".join(f"{header}\n{DAMAGED_ROW}" for header in headers), encoding="utf-8")
     return copy
 
 
@@ -176,7 +184,7 @@ def _notes(ws: Path) -> dict[str, bytes]:
 
 
 def test_damaged_refs_sidecars_leave_keywords_and_alerts_alone(workspace):
-    damaged = _damaged_copy(workspace, ".refs.tsv")
+    damaged = _damaged_copy(workspace, "references")
     for ws in (workspace, damaged):
         assert _run(ws, "keywords", "keywords", "--taxonomy", str(DATA_DIR / "taxonomy20.tax"))[0] == 0
         assert _run(ws, "alerts", "alerts", "run", "--now", "5000")[0] == 0
@@ -190,7 +198,7 @@ def test_damaged_refs_sidecars_leave_keywords_and_alerts_alone(workspace):
 
 
 def test_damaged_keys_sidecars_leave_refextract_and_citegraph_alone(workspace):
-    damaged = _damaged_copy(workspace, ".keys.tsv")
+    damaged = _damaged_copy(workspace, "keywords")
     names = {"refextract": ["refextract"], "counts": ["citegraph"],
              "rank": ["citegraph", "--rank"], "edges": ["citegraph", "--edges"]}
     for ws in (workspace, damaged):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import logging
 from pathlib import Path
 
@@ -28,6 +29,10 @@ from biblioforge import (
     parse_records_text,
     serialize_record,
 )
+
+from biblioforge import records as records_module
+
+from .conftest import segment_files
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -177,7 +182,7 @@ class TestStore:
         assert [r.record_id for r in store.iter_records()] == ["r1"]
 
     def test_failed_write_leaves_no_temporary_file(self, store: RecordStore):
-        (store.root / "r1.rec").mkdir()  # the rename onto a directory fails
+        (store.root / "seg-1.records").mkdir()  # publishing under a name taken fails
         with pytest.raises(StorageFailure):
             store.upsert(BibRecord("r1", "T"))
         assert list(store.root.glob("*.tmp")) == []
@@ -189,7 +194,7 @@ class TestStore:
             store.write_refs_sidecar("p1", [CitationEntry(raw=f"[1] A. Author,{char}B")])
         with pytest.raises(ValueError, match="p1"):
             store.write_keywords_sidecar("p1", [KeywordAssignment("t1", f"a{char}b", 1)])
-        assert sorted(p.name for p in store.root.iterdir()) == ["p1.rec"]
+        assert sorted(p.name for p in store.root.iterdir()) == ["seg-1.records"]
         assert store.get("p1").references == [] and store.get("p1").keywords == []
 
     @given(title=st.text(min_size=1, max_size=20).map(str.strip).filter(bool))
@@ -286,9 +291,9 @@ class TestStore:
     def test_upsert_idempotent_bytes(self, store: RecordStore):
         record = BibRecord("r1", "T", authors=["A"], ingest_time=5)
         store.upsert(record)
-        first = (store.root / "r1.rec").read_bytes()
+        (first,) = [p.read_bytes() for p in segment_files(store.root)]
         store.upsert(BibRecord("r1", "T", authors=["A"], ingest_time=5))
-        assert (store.root / "r1.rec").read_bytes() == first
+        assert [p.read_bytes() for p in segment_files(store.root)] == [first]
 
     def test_get_unknown(self, store: RecordStore):
         with pytest.raises(UnknownRecord):
@@ -334,7 +339,8 @@ class TestStore:
         assignments = extract_keywords("dilaton gravitation.", taxonomy3, 10)
         store.write_keywords_sidecar("r1", assignments, "ab12")
         store.write_refs_sidecar("r1", [CitationEntry(raw="[1] x")], "cd34")
-        assert (store.root / "r1.keys.tsv").read_text(encoding="utf-8").startswith("digest\tab12\n")
+        (keys,) = segment_files(store.root, "keywords")
+        assert keys.read_text(encoding="utf-8").startswith("%%\tr1\ndigest\tab12\n")
         record = store.get("r1")
         assert (record.keywords_digest, record.references_digest) == ("ab12", "cd34")
         assert record.keywords == assignments
@@ -422,7 +428,40 @@ class TestStore:
             store.write_refs_sidecar("p1", [entry])
         with pytest.raises(ValueError, match="p1"):
             store.write_keywords_sidecar("p1", [assignment])
-        assert sorted(p.name for p in store.root.iterdir()) == ["p1.rec"]
+        assert sorted(p.name for p in store.root.iterdir()) == ["seg-1.records"]
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("seg-1.records", "title: T\n", "line 1: line outside every segment block"),
+            ("seg-1.records", "%%\nid: r1\ntitle: T\n%%\ntitle: U\n", "line 5: segment block does not open with its id"),
+            ("seg-1.records", "%%\nid: r1\ntitle: T\n%%\n", "line 5: segment block does not open with its id"),
+            ("seg-2.keywords", "t\tlabel\t1\t\t\n", "line 1: line outside every segment block"),
+            ("seg-2.keywords", "%%\tr1\tgone\n", "line 1: line outside every segment block"),
+            ("seg-2.keywords", "%%\tr1\nt\tlabel\tx\t\t\n", "invalid literal for int() with base 10: 'x'"),
+        ],
+    )
+    def test_damaged_segment_names_its_file_and_line(self, store: RecordStore, name, text, message):
+        if name != "seg-1.records":
+            store.upsert(BibRecord("r1", "T"))
+        (store.root / name).write_text(text, encoding="utf-8")
+        with pytest.raises(MalformedLine if "line" in message else ValueError) as caught:
+            store.get("r1")
+        assert str(caught.value) == f"{message} in {store.root / name}"
+
+    def test_reader_lists_again_when_a_segment_is_merged_away(self, store: RecordStore, monkeypatch):
+        stored = store.upsert(BibRecord("r1", "T"))
+        opened: list[str] = []
+
+        def merging_open(path, *args, **kwargs):
+            opened.append(Path(path).name)
+            if len(opened) == 1:  # a writer merges seg-1 into seg-2 after the listing
+                (store.root / "seg-1.records").rename(store.root / "seg-2.records")
+            return builtins.open(path, *args, **kwargs)
+
+        monkeypatch.setattr(records_module, "open", merging_open, raising=False)
+        assert list(store.iter_records()) == [stored]
+        assert opened == ["seg-1.records", "seg-2.records"]
 
     def test_fulltext_resolution(self, store: RecordStore):
         record = BibRecord("r1", "T", fulltext_path="ft/r1.txt")
