@@ -22,13 +22,16 @@ LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 LINE_BREAK = re.compile(f"[{LINE_BREAKS}]")
 
 
-def decode(data: bytes) -> str:
-    """``data`` as UTF-8 text; MalformedLine naming the line of the first byte that is not."""
+def decode(data: bytes, first_line: int = 1) -> str:
+    """``data`` as UTF-8 text; MalformedLine naming the line of the first byte that is not.
+
+    Lines are numbered from ``first_line``, the line of its file ``data`` starts on.
+    """
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # lines as str.splitlines counts them, the bad byte's own line included
-        line_no = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        line_no = first_line - 1 + len((data[: exc.start].decode("utf-8") + "x").splitlines())
         raise MalformedLine(f"not valid UTF-8: {exc.reason}", line_no) from None
 
 

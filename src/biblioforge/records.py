@@ -18,29 +18,30 @@ no such sidecar.  Sidecars without a digest line stay readable; their
 rows are simply recomputed by the next enrichment run.  The enrichment
 commands write only sidecar segments, never records.
 
-Per record id and kind, the block of the newest segment wins.  Under
-every segment lie the per-record files of stores written before segments
-(``<record_id>.rec``, ``.keys.tsv`` and ``.refs.tsv``), read as they
-always were; nothing writes them any more.  When a segment is added, it
-is merged with the newest older segment of its kind while that one is at
-most twice the size of the merge, keeping the newest block per id; a
-tombstone is dropped once nothing older can hold its id.  So each segment
-of a kind is more than twice the size of the next newer one, and a kind
-keeps O(log n) segments.
+Per record id and kind, the block of the newest segment wins.  When a
+segment is added, it is merged with the newest older segment of its kind
+while that one is at most twice the size of the merge, keeping the newest
+block per id; a tombstone is dropped once nothing older can hold its id.
+So each segment of a kind is more than twice the size of the next newer
+one, and a kind keeps O(log n) segments.
 
-A reader opens the segments of the kinds it asks for, once each, indexes
-where each id's newest block sits and parses only those blocks, one at a
-time, so a damaged sidecar fails only the readers that ask for it.  Each
-command of ``cli`` names the kinds its whole-store read asks
-``iter_records`` for.
+A reader builds one index per kind it asks for, of where each id's part
+sits.  Its bottom layer is the per-record files of stores written before
+segments (``<record_id>.rec``, ``.keys.tsv`` and ``.refs.tsv``; nothing
+writes them any more); the blocks and tombstones of each segment, opened
+once, overwrite it, oldest segment first.  The reader parses only the
+indexed parts, one at a time, so a damaged sidecar fails only the readers
+that ask for it.  Each command of ``cli`` names the kinds its whole-store
+read asks ``iter_records`` for.
 
 Parsing and query matching are pure functions.  The store supports
 concurrent readers with a single writer: a segment is written to a
 temporary file in the store directory and linked into place under a name
-no segment has, and a reader whose listed segment was merged away lists
-again.  ``write_atomic``, which the alert store and the notification
-writer use, renames its temporary file into place instead.  Record ids
-are checked before any path is built from them, on read as on write.
+no segment has, a write outside ``RecordStore.batch`` is a batch of one,
+and a reader lists again when a merge removes a segment it listed.
+``write_atomic``, which the alert store and the notification writer use,
+renames its temporary file into place instead.  Record ids are checked
+before any path is built from them, on read as on write.
 """
 
 from __future__ import annotations
@@ -516,24 +517,16 @@ def _keys_from_rows(text: str, first_line: int = 1) -> tuple[str | None, list[Ke
     return digest, assignments
 
 
-
-
 # --- segments --------------------------------------------------------------
 
-# Per kind, the suffix of the per-record files below every segment.
-_FILE_SUFFIXES = {"records": ".rec", "keywords": ".keys.tsv", "references": ".refs.tsv"}
+# Per kind: the suffix of its per-record files and the parser of a block's text and first line.
+_KINDS = {
+    "records": (".rec", lambda text, first_line: parse_record(text, first_line - 1)),
+    "keywords": (".keys.tsv", _keys_from_rows),
+    "references": (".refs.tsv", _refs_from_rows),
+}
 _SEGMENT_NAME = re.compile(r"seg-([0-9]+)\.(records|keywords|references)")
 _REMOVED = "removed"
-_NOT_INDEXED = object()
-
-
-def _parse_part(kind: str, text: str, first_line: int):
-    """A record, or the (digest, items) of a sidecar, from a block starting on ``first_line``."""
-    if kind == "records":
-        return parse_record(text, first_line - 1)
-    if kind == "keywords":
-        return _keys_from_rows(text, first_line)
-    return _refs_from_rows(text, first_line)
 
 
 def _header(kind: str, record_id: str, removed: bool = False) -> bytes:
@@ -549,14 +542,6 @@ def _block_size(kind: str, record_id: str, body: bytes | tuple | None) -> int:
     return len(_header(kind, record_id, body is None)) + length
 
 
-def _decode_at(data: bytes, first_line: int) -> str:
-    """``fields.decode`` of text that starts on line ``first_line`` of its file."""
-    try:
-        return decode(data)
-    except MalformedLine as exc:
-        raise MalformedLine(exc.reason, exc.line_no + first_line - 1) from None
-
-
 def _read_header(line: bytes, kind: str, line_no: int) -> tuple[str | None, bool] | None:
     """``(record_id, removed)`` of a block header, or None for any other line.
 
@@ -567,7 +552,7 @@ def _read_header(line: bytes, kind: str, line_no: int) -> tuple[str | None, bool
         return (None, False) if line.strip() == b"%%" else None
     if not line.startswith(b"%%\t"):
         return None
-    cells = _decode_at(line, line_no).rstrip("\n").split("\t")
+    cells = decode(line, line_no).rstrip("\n").split("\t")
     if len(cells) == 2:
         return cells[1], False
     if len(cells) == 3 and cells[2] == _REMOVED:
@@ -588,7 +573,7 @@ def _scan(fh: BinaryIO, kind: str) -> list[tuple[str, int, int, int]]:
     for line_no, line in enumerate(fh, start=1):
         header = _read_header(line, kind, line_no) if line[:2] == b"%%" else None
         if current is not None and current[0] is None:
-            key, _, value = _decode_at(line, line_no).partition(":")
+            key, _, value = decode(line, line_no).partition(":")
             if header is not None or key.strip() != "id" or not value.strip():
                 raise MalformedLine("segment block does not open with its id", line_no)
             current = (value.strip(), pos, line_no)
@@ -610,11 +595,11 @@ def _scan(fh: BinaryIO, kind: str) -> list[tuple[str, int, int, int]]:
 
 
 class _Listing:
-    """One scan of a store directory: its segments and its per-record files."""
+    """One scan of a store directory: its segment numbers and its per-record files, per kind."""
 
     def __init__(self, root: Path):
-        self.segments: dict[str, list[tuple[int, int]]] = {kind: [] for kind in _FILE_SUFFIXES}
-        self.files: dict[str, set[str]] = {kind: set() for kind in _FILE_SUFFIXES}
+        self.segments: dict[str, list[int]] = {kind: [] for kind in _KINDS}
+        self.files: dict[str, set[str]] = {kind: set() for kind in _KINDS}
         self.last = 0
         try:
             with os.scandir(root) as entries:
@@ -622,24 +607,23 @@ class _Listing:
                     if not entry.is_file():
                         continue
                     if match := _SEGMENT_NAME.fullmatch(entry.name):
-                        n = int(match[1])
-                        self.segments[match[2]].append((n, entry.stat().st_size))
-                        self.last = max(self.last, n)
+                        self.segments[match[2]].append(int(match[1]))
+                        self.last = max(self.last, int(match[1]))
                         continue
-                    for kind, suffix in _FILE_SUFFIXES.items():
+                    for kind, (suffix, _) in _KINDS.items():
                         if entry.name.endswith(suffix) and entry.name != suffix:
                             self.files[kind].add(entry.name[: -len(suffix)])
         except OSError as exc:
             raise StorageFailure(f"listing of {root} failed: {exc}") from exc
-        for numbered in self.segments.values():
-            numbered.sort()  # oldest first
+        for numbers in self.segments.values():
+            numbers.sort()  # oldest first
 
 
 class RecordStore:
     """Directory-backed record store of segment files, newest block per id winning.
 
-    Reads are safe from many threads; writes require a single writer.
-    Outside ``batch``, each write adds a one-block segment at once.
+    Reads are safe from many threads; writes require a single writer.  A
+    write outside ``batch`` is a batch of one.
     """
 
     def __init__(self, root: str | Path):
@@ -674,9 +658,7 @@ class RecordStore:
     def _write(self, kind: str, record_id: str, body: bytes | None) -> None:
         """Store ``body`` as the newest block of ``record_id``; None removes the sidecar."""
         _check_record_id(record_id)
-        if self._pending is None:
-            self._add_segment(kind, {record_id: body})
-        else:
+        with self.batch():
             self._pending.setdefault(kind, {})[record_id] = body
 
     def upsert(self, record: BibRecord) -> BibRecord:
@@ -714,34 +696,32 @@ class RecordStore:
     def _add_segment(self, kind: str, blocks: dict[str, bytes | None]) -> None:
         """Add a segment of ``blocks`` (None for a removal), merged with older ones by size.
 
-        A removal becomes a tombstone only where an older layer holds the
+        A removal becomes a tombstone only where some layer holds the
         sidecar; no segment is added when nothing is left to write.
         """
         listing = _Listing(self.root)
-        older = listing.segments[kind]
+        older, files = listing.segments[kind], listing.files[kind]
         with contextlib.ExitStack() as stack:
-            if removed := {rid for rid, body in blocks.items() if body is None}:
-                held = self._index(kind, [n for n, _ in older], stack, removed)
-                for rid in removed:
-                    loc = held.get(rid, _NOT_INDEXED)
-                    if loc is None or (loc is _NOT_INDEXED and rid not in listing.files[kind]):
+            if None in blocks.values():
+                held = self._index(kind, older, files, stack)
+                for rid in [rid for rid, body in blocks.items() if body is None]:
+                    if held.get(rid) is None:  # no layer holds the sidecar
                         del blocks[rid]
                 if not blocks:
                     return
             merged: dict[str, bytes | tuple | None] = dict(blocks)
             size = sum(_block_size(kind, rid, body) for rid, body in blocks.items())
             replaced = []
-            while older and older[-1][1] <= 2 * size:
-                n, _ = older.pop()
-                for rid, loc in self._index(kind, [n], stack).items():
+            while older and self._size(older[-1], kind) <= 2 * size:
+                n = older.pop()
+                for rid, loc in self._index(kind, [n], (), stack).items():
                     if rid not in merged:
                         merged[rid] = loc
                         size += _block_size(kind, rid, loc)
                 replaced.append(n)
-            if not older:  # nothing older can hold the id of a tombstone
-                for rid in [rid for rid, body in merged.items() if body is None]:
-                    if rid not in listing.files[kind]:
-                        del merged[rid]
+            if not older:  # nothing older but a per-record file can hold a tombstone's id
+                for rid in {rid for rid, body in merged.items() if body is None} - files:
+                    del merged[rid]
 
             def chunks() -> Iterator[bytes]:
                 for rid in sorted(merged):
@@ -763,20 +743,28 @@ class RecordStore:
             except OSError as exc:
                 raise StorageFailure(f"removal of merged segment {path} failed: {exc}") from exc
 
+    def _size(self, n: int, kind: str) -> int:
+        """Bytes of segment ``n`` of ``kind``, which only the writer asks for."""
+        try:
+            return os.stat(self._segment(n, kind)).st_size
+        except OSError as exc:
+            raise StorageFailure(f"listing of {self.root} failed: {exc}") from exc
+
     # --- reading -----------------------------------------------------------
 
     def _index(
-        self, kind: str, numbers: list[int], stack: contextlib.ExitStack, wanted=None
-    ) -> dict[str, tuple[str, BinaryIO, int, int, int] | None]:
-        """Where each id's newest block sits in the numbered segments of ``kind``.
+        self, kind: str, numbers: list[int], files: Iterable[str], stack: contextlib.ExitStack
+    ) -> dict[str, tuple[str, BinaryIO | None, int, int, int] | None]:
+        """Where each id's ``kind`` part sits: the newest of the numbered segments, else ``files``.
 
-        The value is ``(path, open file, offset, length, first_line)``, or
-        None for a tombstone; with ``wanted``, only those ids are indexed.
-        The files stay open until ``stack`` closes.  FileNotFoundError
-        passes through for a segment that is gone.
+        The value is ``(path, open file, offset, length, first_line)``, with
+        no open file for a per-record file, or None for a tombstone.  The
+        segments stay open until ``stack`` closes.  FileNotFoundError passes
+        through for a segment that is gone.
         """
-        index = {}
-        for n in numbers:
+        suffix = _KINDS[kind][0]
+        index = {rid: (self._prefix + rid + suffix, None, 0, -1, 1) for rid in files}
+        for n in numbers:  # oldest first, so newer blocks overwrite
             path = self._segment(n, kind)
             try:
                 fh = stack.enter_context(open(path, "rb"))
@@ -788,45 +776,34 @@ class RecordStore:
             except MalformedLine as exc:
                 raise in_file(exc, path)
             for rid, offset, length, first_line in blocks:
-                if wanted is None or rid in wanted:
-                    index[rid] = None if length < 0 else (path, fh, offset, length, first_line)
+                index[rid] = None if length < 0 else (path, fh, offset, length, first_line)
         return index
 
-    def _open(self, kinds: list[str], stack: contextlib.ExitStack, wanted=None):
-        """A listing and an index per kind, listing again if a merge removes a listed segment."""
+    def _open(self, kinds: list[str], stack: contextlib.ExitStack) -> dict[str, dict]:
+        """An index per kind of ``kinds``, listing again if a merge removes a listed segment."""
         while True:
             listing = _Listing(self.root)
-            with contextlib.ExitStack() as attempt:
-                try:
-                    indexes = {
-                        kind: self._index(kind, [n for n, _ in numbered], attempt, wanted)
-                        for kind, numbered in listing.segments.items()
-                        if kind in kinds
-                    }
-                except FileNotFoundError:
-                    continue
-                stack.enter_context(attempt.pop_all())
-                return listing, indexes
+            with contextlib.ExitStack() as opened, contextlib.suppress(FileNotFoundError):
+                indexes = {
+                    kind: self._index(kind, listing.segments[kind], listing.files[kind], opened)
+                    for kind in kinds
+                }
+                stack.enter_context(opened.pop_all())
+                return indexes
 
-    def _part(self, kind: str, record_id: str, indexes: dict, listing: _Listing):
-        """The parsed ``kind`` part of a record from its newest block, else its per-record file.
-
-        None when the record has no such part; a parse error names its file.
-        """
-        loc = indexes[kind].get(record_id, _NOT_INDEXED)
-        if loc is None:
+    def _part(self, kind: str, record_id: str, indexes: dict):
+        """The ``kind`` part of a record, parsed from the layer that holds it, or None."""
+        if (loc := indexes[kind].get(record_id)) is None:
             return None
+        path, fh, offset, length, first_line = loc
         try:
-            if loc is _NOT_INDEXED:
-                if record_id not in listing.files[kind]:
-                    return None
-                path = self._prefix + record_id + _FILE_SUFFIXES[kind]
+            if fh is None:  # a per-record file
                 if (text := _read_text(path)) is None:
                     return None
-                return _parse_part(kind, text, 1)
-            path, fh, offset, length, first_line = loc
-            fh.seek(offset)
-            return _parse_part(kind, _decode_at(fh.read(length), first_line), first_line)
+            else:
+                fh.seek(offset)
+                text = decode(fh.read(length), first_line)
+            return _KINDS[kind][1](text, first_line)
         except (MalformedLine, MissingField, ValueError) as exc:
             raise in_file(exc, path)
         except OSError as exc:
@@ -850,20 +827,19 @@ class RecordStore:
             for record_id in record_ids:
                 _check_record_id(record_id)
         kinds = ["records"]
-        kinds += ["references"] if references else []
         kinds += ["keywords"] if keywords else []
+        kinds += ["references"] if references else []
         with contextlib.ExitStack() as stack:
-            wanted = None if record_ids is None else set(record_ids)
-            listing, indexes = self._open(kinds, stack, wanted)
+            indexes = self._open(kinds, stack)
             if record_ids is None:
-                record_ids = sorted(indexes["records"].keys() | listing.files["records"])
+                record_ids = sorted(indexes["records"])
             for record_id in record_ids:
-                record = self._part("records", record_id, indexes, listing)
+                record = self._part("records", record_id, indexes)
                 if record is None:
                     raise UnknownRecord(record_id)
-                if references and (part := self._part("references", record_id, indexes, listing)):
+                if references and (part := self._part("references", record_id, indexes)):
                     record.references_digest, record.references = part
-                if keywords and (part := self._part("keywords", record_id, indexes, listing)):
+                if keywords and (part := self._part("keywords", record_id, indexes)):
                     record.keywords_digest, record.keywords = part
                 yield record
 
@@ -876,8 +852,7 @@ class RecordStore:
 
     def record_ids(self) -> list[str]:
         with contextlib.ExitStack() as stack:
-            listing, indexes = self._open(["records"], stack)
-            return sorted(indexes["records"].keys() | listing.files["records"])
+            return sorted(self._open(["records"], stack)["records"])
 
     def __len__(self) -> int:
         return len(self.record_ids())

@@ -773,12 +773,34 @@ def test_python_dash_m_runs_the_command_line(tmp_path):
     assert "usage: biblioforge" in result.stderr
 
 
+def test_python_dash_m_cli_module_runs_the_command_line(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+
+    def module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "biblioforge.cli", *argv],
+            capture_output=True,
+            text=True,
+            encoding="utf-8",
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+
+    missing = tmp_path / "missing.rec"
+    result = module("ingest", str(missing), "--store-dir", str(tmp_path / "store"))
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.startswith("error: ") and str(missing) in result.stderr
+    assert not (tmp_path / "store").exists()
+    result = module("--help")
+    assert result.returncode == 0
+    assert result.stdout.startswith("usage: biblioforge")
+
+
 def test_ci_workflow_runs_both_suites():
     yaml = pytest.importorskip("yaml")
     path = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
     workflow = yaml.safe_load(path.read_text(encoding="utf-8"))
     [job] = workflow["jobs"].values()
-    assert [str(v) for v in job["strategy"]["matrix"]["python-version"]] == ["3.10", "3.11"]
+    assert [str(v) for v in job["strategy"]["matrix"]["python-version"]] == ["3.10", "3.11", "3.12", "3.13"]
     commands = "\n".join(step.get("run", "") for step in job["steps"])
     # pyyaml lets this very test run in CI instead of skipping there
     for needed in ("pytest hypothesis numpy pyyaml", "python -m pytest -q", "python3 -m pytest bench/ -q"):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import builtins
+import contextlib
 import logging
+import os
 from pathlib import Path
 
 import pytest
@@ -462,6 +464,35 @@ class TestStore:
         monkeypatch.setattr(records_module, "open", merging_open, raising=False)
         assert list(store.iter_records()) == [stored]
         assert opened == ["seg-1.records", "seg-2.records"]
+
+    def test_reader_lists_again_when_a_segment_is_merged_away_while_listing(
+        self, store: RecordStore, monkeypatch
+    ):
+        with store.batch():
+            stored = [store.upsert(BibRecord(record_id, "T")) for record_id in ("r1", "r2")]
+        scandir = os.scandir
+        armed: list[bool] = []
+
+        def merging_scandir(path):
+            def entries():
+                with scandir(path) as listed:
+                    for entry in listed:
+                        # as the listing reaches the records segment, a writer merges it into a new one
+                        if armed and entry.name.startswith("seg-") and entry.name.endswith(".records"):
+                            armed.clear()
+                            n = int(entry.name.removeprefix("seg-").removesuffix(".records"))
+                            os.link(entry.path, store.root / f"seg-{n + 1}.records")
+                            os.unlink(entry.path)
+                        yield entry
+
+            return contextlib.closing(entries())
+
+        monkeypatch.setattr(records_module.os, "scandir", merging_scandir)
+        armed.append(True)
+        assert list(store.iter_records()) == stored
+        armed.append(True)
+        assert store.record_ids() == ["r1", "r2"]
+        assert [p.name for p in store.root.iterdir()] == ["seg-3.records"]
 
     def test_fulltext_resolution(self, store: RecordStore):
         record = BibRecord("r1", "T", fulltext_path="ft/r1.txt")

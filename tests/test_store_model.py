@@ -3,13 +3,17 @@
 The model holds, per kind, the newest value written for each record id.
 Writes go through the store one at a time or inside ``batch()``; per-record
 files of older stores are planted by hand at the start; the store is
-reopened now and then.  After every step the store's whole-store read and
-``get`` must equal the model, and the size rule of the merges must hold:
-every segment of a kind is more than twice the size of the next newer one.
+reopened now and then.  After every step the store's whole-store read, a
+read of named ids out of order and repeated, and ``get`` must equal the
+model, and the size rule of the merges must hold: every segment of a kind
+is more than twice the size of the next newer one.  Reads of drawn id
+lists, with ids never stored among them, and removals of sidecars that no
+layer holds, which must leave the store directory as it was, are steps too.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 import shutil
 import tempfile
@@ -18,11 +22,12 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from biblioforge import BibRecord, CitationEntry, KeywordAssignment, RecordStore, UnknownRecord
 
 IDS = ("a", "b", "c", "d")
+NEVER_STORED = "e"
 SIDECARS = ("keywords", "references")
 
 ids = st.sampled_from(IDS)
@@ -57,6 +62,15 @@ def _sidecar_file(kind: str, digest: str | None, items: list) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _with_digests(record: BibRecord) -> tuple:
+    """A record with its digests, which records compare without."""
+    return record, record.keywords_digest, record.references_digest
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in root.iterdir()}
+
+
 class StoreModel(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
@@ -80,10 +94,11 @@ class StoreModel(RuleBasedStateMachine):
 
     def everything(self) -> list[tuple]:
         """The model's records with their digests, which records compare without."""
-        return [
-            (r, r.keywords_digest, r.references_digest)
-            for r in (self.expected(record_id) for record_id in sorted(self.titles))
-        ]
+        return [_with_digests(self.expected(record_id)) for record_id in sorted(self.titles)]
+
+    def missing_sidecars(self) -> list[tuple[str, str]]:
+        """``(kind, record_id)`` of each sidecar the model lacks, which no layer of the store holds."""
+        return [(kind, rid) for kind in SIDECARS for rid in IDS if rid not in self.sidecars[kind]]
 
     def write(self, kind: str, record_id: str, value) -> None:
         """Write to the store; ``model`` then records the same write in the model."""
@@ -136,17 +151,47 @@ class StoreModel(RuleBasedStateMachine):
         for write in batch:
             self.model(*write)
 
+    @precondition(lambda self: self.missing_sidecars())
+    @rule(data=st.data())
+    def remove_what_no_layer_holds(self, data):
+        kind, record_id = data.draw(st.sampled_from(self.missing_sidecars()))
+        before = _files(self.root)
+        self.store.remove_sidecar(record_id, kind)
+        assert _files(self.root) == before
+
+    @rule(
+        record_ids=st.lists(st.sampled_from((*IDS, NEVER_STORED)), max_size=8),
+        keywords=st.booleans(),
+        references=st.booleans(),
+    )
+    def read_named_ids(self, record_ids, keywords, references):
+        """The records before the first unknown id come in the order given, then UnknownRecord."""
+        known = list(itertools.takewhile(self.titles.__contains__, record_ids))
+        reader = self.store.iter_records(record_ids, keywords=keywords, references=references)
+        assert [_with_digests(next(reader)) for _ in known] == [
+            _with_digests(self.expected(rid, keywords=keywords, references=references)) for rid in known
+        ]
+        if len(known) < len(record_ids):
+            with pytest.raises(UnknownRecord):
+                next(reader)
+        assert next(reader, None) is None
+
     @rule()
     def reopen(self):
         self.store = RecordStore(self.root)
 
     def read_all(self) -> list[tuple]:
-        return [(r, r.keywords_digest, r.references_digest) for r in self.store.iter_records()]
+        return [_with_digests(r) for r in self.store.iter_records()]
 
     @invariant()
     def reads_match_the_model(self):
         assert self.read_all() == self.everything()
         assert self.store.record_ids() == sorted(self.titles)
+        stored = sorted(self.titles)
+        named = [*stored[::-1], *stored]  # out of order, each id twice
+        assert [_with_digests(r) for r in self.store.iter_records(named)] == [
+            _with_digests(self.expected(rid)) for rid in named
+        ]
         for record_id in IDS:
             if record_id not in self.titles:
                 with pytest.raises(UnknownRecord):
