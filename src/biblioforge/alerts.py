@@ -7,6 +7,11 @@ advances the watermark to ``now``.  So a record ingested at or below the
 watermark (a late arrival, or one in the last batch's second) is never
 delivered; a crash between a notification and the save re-delivers it.
 
+A batch reads the records once, one at a time, and matches each against
+every subscription whose window holds its ingest time.  It keeps only the
+matched ids and their titles, so its memory grows with the deliveries,
+not with the store; files are written only after the last record is read.
+
 Subscription files are in the ``key: value`` format of ``fields``; unlike
 records, they may hold empty values.
 
@@ -172,21 +177,27 @@ def run_alert_batch(
     With ``notifications_dir`` set, each non-empty notification is written
     to ``<dir>/<now>/<alert_id>.tsv`` (record id and title per row, a tab
     in a title becoming a space) before its watermark is persisted through
-    ``alert_store``.
+    ``alert_store``.  Nothing is written until ``records`` is exhausted, so
+    a failed read writes nothing.  Record ids are taken to be unique, as a
+    store yields them.
     """
-    records = list(records)  # scanned once per subscription
-    titles = {r.record_id: r.title.replace("\t", " ") for r in records}
+    # A record at or below every watermark skips the subscription loop.
+    floor = min((sub.last_run for sub in subscriptions), default=now)
+    matches: list[list[str]] = [[] for _ in subscriptions]
+    titles: dict[str, str] = {}
+    for record in records:
+        stamp = record.ingest_time
+        if stamp is None or not floor < stamp <= now:
+            continue
+        for sub, matched in zip(subscriptions, matches):
+            if sub.last_run < stamp and match_query(sub.query, record):
+                matched.append(record.record_id)
+                titles[record.record_id] = record.title.replace("\t", " ")
+
     notifications = []
-    for sub in subscriptions:
-        matching = sorted(
-            r.record_id
-            for r in records
-            if r.ingest_time is not None
-            and sub.last_run < r.ingest_time <= now
-            and match_query(sub.query, r)
-        )
-        if matching:
-            note = Notification(sub.alert_id, tuple(matching))
+    for sub, matched in zip(subscriptions, matches):
+        if matched:
+            note = Notification(sub.alert_id, tuple(sorted(matched)))
             notifications.append(note)
             if notifications_dir is not None:
                 _write_notification(Path(notifications_dir), now, note, titles)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Container, Iterable
 
 from .errors import NonConvergence, UnknownNode
 from .records import BibRecord
@@ -29,44 +29,71 @@ class CitationGraph:
 
 
 def build_graph(records: Iterable[BibRecord]) -> CitationGraph:
-    """Resolve stored references into a citation graph.
+    """Resolve stored references into a citation graph, in one pass over ``records``.
 
     Each citation entry resolves, first match wins, by exact report number,
     else by exact (journal, volume, page) triple; otherwise it counts as
-    unresolved.  Duplicate citations of one target collapse to a single
-    edge and self-citations never become edges.
-    """
-    records = sorted(records, key=lambda r: r.record_id)
-    graph = CitationGraph(nodes={r.record_id for r in records})
+    unresolved.  When records share a report number or a triple, the
+    smallest record id takes it, whatever the input order.  Duplicate
+    citations of one target collapse to a single edge and self-citations
+    never become edges.
 
+    No record is kept.  The pass keeps the ids, the two resolution indexes
+    and, per citation, only its keys (its report numbers in order, then its
+    triple): each distinct key tuple once, with the ids citing by it.  The
+    keys are resolved after the pass, so memory grows with the records and
+    the distinct citation keys, not with the reference text.
+    """
+    graph = CitationGraph()
     by_report: dict[str, str] = {}
     by_triple: dict[tuple[str, str, str], str] = {}
-    for record in records:  # sorted, so the smallest id wins collisions
-        for rn in record.report_numbers:
-            by_report.setdefault(rn, record.record_id)
-        if record.journal and record.volume and record.page:
-            by_triple.setdefault((record.journal, record.volume, record.page), record.record_id)
-
+    # (report numbers in order, triple or None) -> the citing id of each entry with those keys
+    citers: dict[tuple[tuple[str, ...], tuple[str, str, str] | None], list[str]] = {}
     for record in records:
+        record_id = record.record_id
+        graph.nodes.add(record_id)
+        for rn in record.report_numbers:
+            if by_report.setdefault(rn, record_id) > record_id:
+                by_report[rn] = record_id
+        if record.journal and record.volume and record.page:
+            triple = (record.journal, record.volume, record.page)
+            if by_triple.setdefault(triple, record_id) > record_id:
+                by_triple[triple] = record_id
         for entry in record.references:
-            target = None
-            for rn in entry.report_numbers:
-                target = by_report.get(rn)
-                if target is not None:
-                    break
-            if target is None and entry.journal and entry.volume and entry.page:
-                target = by_triple.get((entry.journal, entry.volume, entry.page))
-            if target is None:
+            report_numbers = tuple(entry.report_numbers)
+            triple = None
+            if entry.journal and entry.volume and entry.page:
+                triple = (entry.journal, entry.volume, entry.page)
+            if report_numbers or triple:
+                citers.setdefault((report_numbers, triple), []).append(record_id)
+            else:
                 graph.unresolved += 1
-            elif target != record.record_id:
-                graph.edges.add((record.record_id, target))
+
+    for (report_numbers, triple), citing_ids in citers.items():
+        target = next((by_report[rn] for rn in report_numbers if rn in by_report), None)
+        if target is None and triple:
+            target = by_triple.get(triple)
+        if target is None:
+            graph.unresolved += len(citing_ids)
+        else:
+            graph.edges.update((citing, target) for citing in citing_ids if citing != target)
     return graph
 
 
+def _check_nodes(nodes: Container[str], *ends: str) -> None:
+    for node in ends:
+        if node not in nodes:
+            raise UnknownNode(node)
+
+
 def citation_counts(graph: CitationGraph) -> dict[str, int]:
-    """In-degree per node; nodes nothing cites appear with count 0."""
+    """In-degree per node; nodes nothing cites appear with count 0.
+
+    UnknownNode when an edge names a record that is not a node.
+    """
     counts = {node: 0 for node in graph.nodes}
-    for _, cited in graph.edges:
+    for citing, cited in graph.edges:
+        _check_nodes(counts, citing, cited)
         counts[cited] += 1
     return counts
 
@@ -77,9 +104,7 @@ def _citers(graph: CitationGraph, node: str) -> set[str]:
 
 def cocitation(graph: CitationGraph, a: str, b: str) -> int:
     """Number of distinct records citing both a and b."""
-    for node in (a, b):
-        if node not in graph.nodes:
-            raise UnknownNode(node)
+    _check_nodes(graph.nodes, a, b)
     if a == b:
         raise ValueError("cocitation needs two distinct records")
     return len(_citers(graph, a) & _citers(graph, b))
@@ -106,7 +131,8 @@ def link_rank(
     Rank flows along edges from citing to cited records; dangling nodes
     redistribute their mass uniformly.  Iteration stops when the L1 change
     drops below ``tolerance``; the scores sum to 1.  Hitting ``max_iters``
-    raises NonConvergence with the last scores attached.
+    raises NonConvergence with the last scores attached; an edge naming a
+    record that is not a node raises UnknownNode.
     """
     check_rank_settings(damping, tolerance, max_iters)
 
@@ -115,25 +141,28 @@ def link_rank(
     if n == 0:
         return {}
 
-    out_degree = {node: 0 for node in nodes}
-    incoming: dict[str, list[str]] = {node: [] for node in nodes}
+    # Nodes by their index in sorted order, each node's citers in sorted edge
+    # order: every sum runs in a fixed order, so the scores are reproducible.
+    index = {node: i for i, node in enumerate(nodes)}
+    out_degree = [0] * n
+    incoming: list[list[int]] = [[] for _ in nodes]
     for citing, cited in sorted(graph.edges):
-        out_degree[citing] += 1
-        incoming[cited].append(citing)
+        _check_nodes(index, citing, cited)
+        out_degree[index[citing]] += 1
+        incoming[index[cited]].append(index[citing])
+    dangling_nodes = [i for i in range(n) if out_degree[i] == 0]
 
-    rank = {node: 1.0 / n for node in nodes}
-    for iteration in range(1, max_iters + 1):
-        dangling = sum(rank[node] for node in nodes if out_degree[node] == 0)
+    rank = [1.0 / n] * n
+    for _ in range(max_iters):
+        dangling = sum(rank[i] for i in dangling_nodes)
         base = (1.0 - damping) / n + damping * dangling / n
-        new_rank = {}
-        for node in nodes:
-            inflow = sum(rank[u] / out_degree[u] for u in incoming[node])
-            new_rank[node] = base + damping * inflow
-        delta = sum(abs(new_rank[node] - rank[node]) for node in nodes)
+        share = [r / d if d else 0.0 for r, d in zip(rank, out_degree)]
+        new_rank = [base + damping * sum([share[u] for u in citers]) for citers in incoming]
+        delta = sum(abs(new - old) for new, old in zip(new_rank, rank))
         rank = new_rank
         if delta < tolerance:
-            return rank
-    raise NonConvergence(max_iters, rank)
+            return dict(zip(nodes, rank))
+    raise NonConvergence(max_iters, dict(zip(nodes, rank)))
 
 
 def edges_tsv(graph: CitationGraph) -> str:

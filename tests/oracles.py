@@ -13,6 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
+from biblioforge.alerts import Notification, serialize_subscription
+from biblioforge.citegraph import CitationGraph
+from biblioforge.records import match_query
 from biblioforge.taxonomy import SENTENCE_BOUNDARY, KeywordAssignment, expanded_term_ids, stem
 
 _NAIVE_TOKEN_RE = re.compile(r"[^\W_]+(?:-[^\W_]+)*|[.!?]")
@@ -127,6 +130,98 @@ def naive_keyword_scan(text: str, taxonomy, max_results: int = 10):
             )
     results.sort(key=lambda ka: (-ka.occurrence, ka.display_label))
     return results[:max_results]
+
+
+def naive_build_graph(records):
+    """All records sorted and held, then every citation resolved against them.
+
+    Resolution indexes are filled in id order with ``setdefault``, so the
+    smallest id wins a shared report number or triple.
+    """
+    records = sorted(records, key=lambda r: r.record_id)
+    graph = CitationGraph(nodes={r.record_id for r in records})
+
+    by_report = {}
+    by_triple = {}
+    for record in records:
+        for rn in record.report_numbers:
+            by_report.setdefault(rn, record.record_id)
+        if record.journal and record.volume and record.page:
+            by_triple.setdefault((record.journal, record.volume, record.page), record.record_id)
+
+    for record in records:
+        for entry in record.references:
+            target = None
+            for rn in entry.report_numbers:
+                target = by_report.get(rn)
+                if target is not None:
+                    break
+            if target is None and entry.journal and entry.volume and entry.page:
+                target = by_triple.get((entry.journal, entry.volume, entry.page))
+            if target is None:
+                graph.unresolved += 1
+            elif target != record.record_id:
+                graph.edges.add((record.record_id, target))
+    return graph
+
+
+def naive_alert_batch(records, subscriptions, now):
+    """Every subscription scans every held record: (notifications, writes).
+
+    Advances each subscription's watermark to ``now``, never backwards.
+    ``writes`` lists, in order, each file a batch with a notification
+    directory and an alert store writes, as (``notifications/<now>/<alert_id>.tsv``
+    or ``alerts/<alert_id>.alert``, text): per subscription in the given
+    order, its notification if it has one, then the subscription.
+    """
+    records = list(records)
+    titles = {r.record_id: r.title.replace("\t", " ") for r in records}
+    notifications = []
+    writes = []
+    for sub in subscriptions:
+        matching = sorted(
+            r.record_id
+            for r in records
+            if r.ingest_time is not None
+            and sub.last_run < r.ingest_time <= now
+            and match_query(sub.query, r)
+        )
+        if matching:
+            notifications.append(Notification(sub.alert_id, tuple(matching)))
+            rows = "".join(f"{rid}\t{titles[rid]}\n" for rid in matching)
+            writes.append((f"notifications/{now}/{sub.alert_id}.tsv", rows))
+        sub.last_run = max(sub.last_run, now)
+        writes.append((f"alerts/{sub.alert_id}.alert", serialize_subscription(sub)))
+    notifications.sort(key=lambda n: n.alert_id)
+    return notifications, writes
+
+
+def naive_link_rank(graph, damping, tolerance, max_iters):
+    """The rank iteration over dicts keyed by record id, as sums in node order.
+
+    Same arithmetic in the same order as ``link_rank``, so the scores must
+    be equal as floats.  Returns (scores, whether the iteration converged).
+    """
+    nodes = sorted(graph.nodes)
+    n = len(nodes)
+    out_degree = {node: 0 for node in nodes}
+    incoming = {node: [] for node in nodes}
+    for citing, cited in sorted(graph.edges):
+        out_degree[citing] += 1
+        incoming[cited].append(citing)
+    rank = {node: 1.0 / n for node in nodes}
+    for _ in range(max_iters):
+        dangling = sum(rank[node] for node in nodes if out_degree[node] == 0)
+        base = (1.0 - damping) / n + damping * dangling / n
+        new_rank = {}
+        for node in nodes:
+            inflow = sum(rank[u] / out_degree[u] for u in incoming[node])
+            new_rank[node] = base + damping * inflow
+        delta = sum(abs(new_rank[node] - rank[node]) for node in nodes)
+        rank = new_rank
+        if delta < tolerance:
+            return rank, True
+    return rank, False
 
 
 def dense_link_rank(nodes, edges, damping, tolerance=1e-14, max_iters=100000):

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+import gc
 import logging
 import random
 import re
 import tempfile
+import weakref
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -25,8 +29,11 @@ from biblioforge import (
     match_query,
     run_alert_batch,
 )
+from biblioforge import alerts
 from biblioforge.alerts import parse_subscription, serialize_subscription
 from biblioforge.cli import dispatch
+
+from .oracles import naive_alert_batch
 
 _TITLES = ["alpha study", "beta notes", "gamma survey", "delta review"]
 _AUTHORS = ["smith", "jones", "garcia", "okafor"]
@@ -439,6 +446,111 @@ class TestRunBatch:
         records = record_store.iter_records()
         assert run_alert_batch(records, reloaded, 300, alert_store=alert_store) == []
         assert alert_store.get(sub.alert_id).last_run == 300
+
+
+_stamps = st.one_of(st.none(), st.integers(95, 125))
+
+
+@st.composite
+def _batch_inputs(draw):
+    """Records with unique ids, some never stamped, and subscriptions whose
+    watermarks differ, around a batch clock ``now`` that may lie below them."""
+    records = [
+        BibRecord(
+            f"r{i}",
+            draw(st.sampled_from(["alpha\tstudy", "beta notes", "Alpha beta"])),
+            authors=[draw(st.sampled_from(_AUTHORS))],
+            year=draw(st.sampled_from([None, 1995, 2005])),
+            ingest_time=draw(_stamps),
+        )
+        for i in range(draw(st.integers(0, 8)))
+    ]
+    clauses = st.sampled_from(
+        [
+            QueryClause("title", "contains", "alpha"),
+            QueryClause("title", "contains", "beta"),
+            QueryClause("author", "contains", "o"),
+            QueryClause("year", "range", (1990, 2000)),
+            QueryClause("any", "contains", "zzz"),
+        ]
+    )
+    subs = []
+    for j in range(draw(st.integers(0, 5))):
+        last_run = draw(st.integers(95, 125))
+        subs.append(AlertSubscription(f"a{j}", FieldQuery((draw(clauses),)), "o", 90, last_run))
+    return records, draw(st.permutations(subs)), draw(st.integers(95, 125))
+
+
+class TestRunBatchOnePass:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_any_order_equals_the_per_subscription_oracle(self, data):
+        records, subs, now = data.draw(_batch_inputs())
+        shuffled = data.draw(st.permutations(records))
+        expected_subs = copy.deepcopy(subs)
+        expected, expected_writes = naive_alert_batch(records, expected_subs, now)
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            writes = []
+            write_atomic = alerts.write_atomic
+
+            def spy(path, text):
+                writes.append((Path(path).relative_to(root).as_posix(), text))
+                write_atomic(path, text)
+
+            with mock.patch.object(alerts, "write_atomic", spy):
+                notes = run_alert_batch(
+                    iter(shuffled),
+                    subs,
+                    now,
+                    notifications_dir=root / "notifications",
+                    alert_store=AlertStore(root / "alerts"),
+                )
+            on_disk = {
+                path.relative_to(root).as_posix(): path.read_text(encoding="utf-8")
+                for path in root.rglob("*")
+                if path.is_file()
+            }
+        assert notes == expected
+        assert subs == expected_subs  # watermarks
+        assert writes == expected_writes
+        assert on_disk == dict(expected_writes)
+
+    def test_failed_read_writes_nothing(self, tmp_path: Path):
+        def feed():
+            yield BibRecord("r1", "Fresh result", ingest_time=150)
+            raise MalformedLine("no key separator", 3)
+
+        sub = _sub("a1", QueryClause("title", "contains", "fresh"))
+        alert_store = AlertStore(tmp_path / "alerts")
+        with pytest.raises(MalformedLine):
+            run_alert_batch(
+                feed(), [sub], 200, notifications_dir=tmp_path / "notes", alert_store=alert_store
+            )
+        assert sub.last_run == 100
+        assert list(tmp_path.rglob("*")) == [tmp_path / "alerts"]
+
+    def test_no_record_outlives_the_next(self, tmp_path: Path):
+        refs: list[weakref.ref] = []
+        alive_when_exhausted: list[int] = []
+
+        def feed():
+            for i in range(30):
+                record = BibRecord(f"r{i:02d}", f"Paper {i}", ingest_time=100 + i)
+                refs.append(weakref.ref(record))
+                yield record
+                del record
+            gc.collect()
+            alive_when_exhausted.append(sum(ref() is not None for ref in refs))
+
+        subs = [
+            _sub("a1", QueryClause("title", "contains", "paper 1"), t0=100),
+            _sub("a2", QueryClause("title", "contains", "paper"), t0=120),
+        ]
+        notes = run_alert_batch(feed(), subs, 200, notifications_dir=tmp_path)
+        assert [len(note.record_ids) for note in notes] == [11, 9]
+        assert (tmp_path / "200" / "a2.tsv").read_text(encoding="utf-8").startswith("r21\tPaper 21\n")
+        assert alive_when_exhausted[0] <= 1
 
 
 class TestInterleavingProperty:

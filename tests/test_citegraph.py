@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from biblioforge import (
 from biblioforge.citegraph import edges_tsv, report_tsv
 
 from .conftest import GRAPH_FIXTURE_COUNTS, GRAPH_FIXTURE_EDGES, graph_fixture_records
-from .oracles import dense_link_rank
+from .oracles import dense_link_rank, naive_build_graph, naive_link_rank
 
 
 class TestBuildGraph:
@@ -91,6 +93,67 @@ class TestBuildGraph:
         assert first.unresolved == second.unresolved
 
 
+_IDS = ("r0", "r1", "r2", "r3", "r4", "r5")
+_REPORT_NUMBERS = ("AAA-1", "AAA-2", "BBB-1", "NONE-9")
+_TRIPLE_PARTS = (None, "", "New Sci.", "1", "2")
+
+_triples = st.tuples(*[st.sampled_from(_TRIPLE_PARTS)] * 3)
+_entries = st.builds(
+    lambda rns, triple: CitationEntry("x", None, *triple, report_numbers=rns),
+    st.lists(st.sampled_from(_REPORT_NUMBERS), max_size=3),
+    _triples,
+)
+
+
+@st.composite
+def _graph_records(draw) -> list[BibRecord]:
+    """Records with unique ids sharing report numbers and triples; entries may cite
+    their own record, repeat, name unknown keys or carry no key."""
+    ids = draw(st.lists(st.sampled_from(_IDS), unique=True, max_size=len(_IDS)))
+    records = []
+    for record_id in ids:
+        journal, volume, page = draw(_triples)
+        records.append(
+            BibRecord(
+                record_id,
+                "T",
+                journal=journal,
+                volume=volume,
+                page=page,
+                report_numbers=draw(st.lists(st.sampled_from(_REPORT_NUMBERS), max_size=2)),
+                references=draw(st.lists(_entries, max_size=5)),
+            )
+        )
+    return records
+
+
+class TestBuildGraphOnePass:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_any_order_equals_the_sorted_oracle(self, data):
+        records = data.draw(_graph_records())
+        shuffled = data.draw(st.permutations(records))
+        assert build_graph(iter(shuffled)) == naive_build_graph(records)
+
+    def test_no_record_outlives_the_next(self):
+        refs: list[weakref.ref] = []
+        alive_when_exhausted: list[int] = []
+
+        def feed():
+            for i in range(30):
+                record = BibRecord(f"r{i:02d}", "T", report_numbers=[f"RN-{i}"])
+                record.references = [CitationEntry("x", report_numbers=[f"RN-{i - 1}"])]
+                refs.append(weakref.ref(record))
+                yield record
+                del record
+            gc.collect()
+            alive_when_exhausted.append(sum(ref() is not None for ref in refs))
+
+        graph = build_graph(feed())
+        assert len(graph.edges) == 29
+        assert alive_when_exhausted[0] <= 1
+
+
 class TestCitationCounts:
     def test_empty_graph(self):
         graph = CitationGraph(nodes={"a", "b", "c"})
@@ -111,6 +174,11 @@ class TestCitationCounts:
         edges = set(rng.sample(pool, min(len(pool), rng.randint(0, 3 * n))))
         graph = CitationGraph(nodes=nodes, edges=edges)
         assert sum(citation_counts(graph).values()) == len(edges)
+
+    @pytest.mark.parametrize("edge", [("a", "b"), ("b", "a")])
+    def test_edge_to_unknown_node(self, edge):
+        with pytest.raises(UnknownNode, match="unknown graph node: b"):
+            citation_counts(CitationGraph(nodes={"a"}, edges={edge}))
 
     def test_adding_edge_never_decreases_count(self):
         nodes = {"a", "b", "c"}
@@ -216,6 +284,24 @@ class TestLinkRank:
                 link_rank(graph, tolerance=tolerance)
         with pytest.raises(ValueError):
             link_rank(graph, max_iters=0)
+
+    @pytest.mark.parametrize("edge", [("a", "b"), ("b", "a")])
+    def test_edge_to_unknown_node(self, edge):
+        with pytest.raises(UnknownNode, match="unknown graph node: b"):
+            link_rank(CitationGraph(nodes={"a"}, edges={edge}))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_scores_equal_the_dict_iteration_as_floats(self, seed):
+        graph = _random_graph(random.Random(seed), 40)
+        for max_iters in (3, 1000):
+            expected, converged = naive_link_rank(graph, 0.85, 1e-10, max_iters)
+            if converged:
+                scores = link_rank(graph, 0.85, 1e-10, max_iters)
+            else:
+                with pytest.raises(NonConvergence) as exc:
+                    link_rank(graph, 0.85, 1e-10, max_iters)
+                scores = exc.value.scores
+            assert list(scores.items()) == list(expected.items())
 
     def test_bitwise_deterministic(self):
         rng = random.Random(7)

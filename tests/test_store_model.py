@@ -20,7 +20,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
@@ -217,5 +217,13 @@ class StoreModel(RuleBasedStateMachine):
                 assert older > 2 * newer
 
 
-StoreModel.TestCase.settings = settings(max_examples=12, stateful_step_count=50, deadline=None)
+# Without shrinking a failure is reported at once, with its unshrunk (longer)
+# step sequence: each step writes and re-reads the store, so shrinking up to
+# 50 of them took minutes.
+StoreModel.TestCase.settings = settings(
+    max_examples=12,
+    stateful_step_count=50,
+    deadline=None,
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
+)
 TestStoreModel = StoreModel.TestCase
