@@ -25,14 +25,15 @@ block per id; a tombstone is dropped once nothing older can hold its id.
 So each segment of a kind is more than twice the size of the next newer
 one, and a kind keeps O(log n) segments.
 
-A reader builds one index per kind it asks for, of where each id's part
-sits.  Its bottom layer is the per-record files of stores written before
-segments (``<record_id>.rec``, ``.keys.tsv`` and ``.refs.tsv``; nothing
-writes them any more); the blocks and tombstones of each segment, opened
-once, overwrite it, oldest segment first.  The reader parses only the
-indexed parts, one at a time, so a damaged sidecar fails only the readers
-that ask for it.  Each command of ``cli`` names the kinds its whole-store
-read asks ``iter_records`` for.
+Every segment is written in id order, so each is a sorted run, and one
+whose ids do not strictly ascend is a MalformedLine.  A read merges the
+runs of the kinds it asks for as streams and keeps no index; the
+per-record files of stores written before segments (``<record_id>.rec``,
+``.keys.tsv`` and ``.refs.tsv``; nothing writes them any more) are the
+oldest run.  Only winning parts are parsed, so a damaged block fails only
+the readers that ask for its kind, once the read reaches it; writes made
+before that stay, as ``RecordStore.batch`` keeps them.  Each command of
+``cli`` names the kinds its whole-store read asks ``iter_records`` for.
 
 Parsing and query matching are pure functions.  The store supports
 concurrent readers with a single writer: a segment is written to a
@@ -47,12 +48,15 @@ before any path is built from them, on read as on write.
 from __future__ import annotations
 
 import contextlib
+import heapq
+import itertools
 import logging
 import os
 import re
 import tempfile
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
@@ -527,6 +531,7 @@ _KINDS = {
 }
 _SEGMENT_NAME = re.compile(r"seg-([0-9]+)\.(records|keywords|references)")
 _REMOVED = "removed"
+_IN_FILE = object()  # the body of a per-record file, read only once its block wins
 
 
 def _header(kind: str, record_id: str, removed: bool = False) -> bytes:
@@ -534,12 +539,6 @@ def _header(kind: str, record_id: str, removed: bool = False) -> bytes:
     if kind == "records":
         return b"%%\n"
     return f"%%\t{record_id}\t{_REMOVED}\n".encode() if removed else f"%%\t{record_id}\n".encode()
-
-
-def _block_size(kind: str, record_id: str, body: bytes | tuple | None) -> int:
-    """Bytes of a block whose body is given, indexed (see ``RecordStore._index``) or a tombstone."""
-    length = 0 if body is None else len(body) if isinstance(body, bytes) else body[3]
-    return len(_header(kind, record_id, body is None)) + length
 
 
 def _read_header(line: bytes, kind: str, line_no: int) -> tuple[str | None, bool] | None:
@@ -560,38 +559,92 @@ def _read_header(line: bytes, kind: str, line_no: int) -> tuple[str | None, bool
     return None  # a sidecar row whose first cell is "%%"
 
 
-def _scan(fh: BinaryIO, kind: str) -> list[tuple[str, int, int, int]]:
-    """``(record_id, offset, length, first_line)`` of each block of a segment, in file order.
+def _scan(fh: BinaryIO, kind: str) -> Iterator[tuple[str, bytes | None, int]]:
+    """``(record_id, body, first_line)`` of each block of a segment, in file order.
 
-    Offset, length and first line locate the block's text below its header;
-    a tombstone has length -1.  A line outside every block, or a records
-    block that does not open with its id, is a MalformedLine.
+    The body is the block's bytes below its header line, None for a
+    tombstone.  A line outside every block, or a records block that does not
+    open with its id, is a MalformedLine.
     """
-    blocks = []
-    current = None  # (record_id, offset, first_line) of the open block; no id yet after "%%"
-    pos = line_no = 0
+    record_id, body, first = None, None, 0  # the open block, if first; a tombstone's body is None
     for line_no, line in enumerate(fh, start=1):
         header = _read_header(line, kind, line_no) if line[:2] == b"%%" else None
-        if current is not None and current[0] is None:
+        if body is not None and record_id is None:  # a records block opens with its id
             key, _, value = decode(line, line_no).partition(":")
             if header is not None or key.strip() != "id" or not value.strip():
                 raise MalformedLine("segment block does not open with its id", line_no)
-            current = (value.strip(), pos, line_no)
+            record_id = value.strip()
+            body.append(line)
         elif header is not None:
-            if current is not None:
-                blocks.append((current[0], current[1], pos - current[1], current[2]))
+            if first:
+                yield record_id, None if body is None else b"".join(body), first
             record_id, removed = header
-            current = None if removed else (record_id, pos + len(line), line_no + 1)
-            if removed:
-                blocks.append((record_id, pos, -1, line_no))
-        elif current is None:
+            body, first = None if removed else [], line_no + 1
+        elif body is None:
             raise MalformedLine("line outside every segment block", line_no)
-        pos += len(line)
-    if current is not None:
-        if current[0] is None:
-            raise MalformedLine("segment block does not open with its id", line_no + 1)
-        blocks.append((current[0], current[1], pos - current[1], current[2]))
-    return blocks
+        else:
+            body.append(line)
+    if body is not None and record_id is None:
+        raise MalformedLine("segment block does not open with its id", line_no + 1)
+    if first:
+        yield record_id, None if body is None else b"".join(body), first
+
+
+def _run(path: str, kind: str) -> Iterator[tuple]:
+    """The segment at ``path`` as a run of ``(record_id, kind, body, first_line, path)``.
+
+    The file opens on the first step.  FileNotFoundError passes through for
+    a segment that is gone; every other error names ``path``.
+    """
+    last = ""  # ids are never empty
+    try:
+        with open(path, "rb") as fh:
+            for record_id, body, first_line in _scan(fh, kind):
+                if record_id <= last:
+                    raise MalformedLine("segment ids do not ascend", first_line - 1)
+                last = record_id
+                yield record_id, kind, body, first_line, path
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise StorageFailure(f"read of {path} failed: {exc}") from exc
+    except MalformedLine as exc:
+        raise in_file(exc, path)
+
+
+def _newest(runs: list[Iterator[tuple]]) -> Iterator[tuple[str, dict[str, tuple]]]:
+    """``(record_id, parts)`` per id, ascending, of runs of ``(record_id, kind, body, ...)`` items.
+
+    The runs of a kind come newest first, so ``parts`` maps each kind to its newest item.
+    """
+    for record_id, items in itertools.groupby(heapq.merge(*runs, key=itemgetter(0)), itemgetter(0)):
+        parts: dict[str, tuple] = {}
+        for item in items:
+            parts.setdefault(item[1], item)
+        yield record_id, parts
+
+
+def _parse(item: tuple | None):
+    """A run item's part, parsed; None for no item, a tombstone or a per-record file now gone."""
+    if item is None or item[2] is None:
+        return None
+    _, kind, body, first_line, path = item
+    try:
+        text = _read_text(path) if body is _IN_FILE else decode(body, first_line)
+        return None if text is None else _KINDS[kind][1](text, first_line)
+    except (MalformedLine, MissingField, ValueError) as exc:
+        raise in_file(exc, path)
+
+
+def _record(parts: dict[str, tuple]) -> BibRecord | None:
+    """The record of one id's newest parts, with the sidecars among them; None without a record."""
+    if (record := _parse(parts.get("records"))) is None:
+        return None
+    if (part := _parse(parts.get("references"))) is not None:
+        record.references_digest, record.references = part
+    if (part := _parse(parts.get("keywords"))) is not None:
+        record.keywords_digest, record.keywords = part
+    return record
 
 
 class _Listing:
@@ -701,41 +754,30 @@ class RecordStore:
         """
         listing = _Listing(self.root)
         older, files = listing.segments[kind], listing.files[kind]
-        with contextlib.ExitStack() as stack:
-            if None in blocks.values():
-                held = self._index(kind, older, files, stack)
-                for rid in [rid for rid, body in blocks.items() if body is None]:
-                    if held.get(rid) is None:  # no layer holds the sidecar
-                        del blocks[rid]
-                if not blocks:
-                    return
-            merged: dict[str, bytes | tuple | None] = dict(blocks)
-            size = sum(_block_size(kind, rid, body) for rid, body in blocks.items())
-            replaced = []
-            while older and self._size(older[-1], kind) <= 2 * size:
-                n = older.pop()
-                for rid, loc in self._index(kind, [n], (), stack).items():
-                    if rid not in merged:
-                        merged[rid] = loc
-                        size += _block_size(kind, rid, loc)
-                replaced.append(n)
-            if not older:  # nothing older but a per-record file can hold a tombstone's id
-                for rid in {rid for rid, body in merged.items() if body is None} - files:
-                    del merged[rid]
+        if removed := {rid for rid, body in blocks.items() if body is None}:
+            layers = _newest(self._layers(kind, older, files))
+            held = {r for r, parts in layers if r in removed and parts[kind][2] is not None}
+            for rid in removed - held:
+                del blocks[rid]
+            if not blocks:
+                return
+        pending = sorted(blocks.items())
+        replaced: list[int] = []  # the older segments merged in, oldest first
 
-            def chunks() -> Iterator[bytes]:
-                for rid in sorted(merged):
-                    body = merged[rid]
+        def chunks() -> Iterator[bytes]:
+            """The bytes of ``blocks`` merged with the ``replaced`` segments."""
+            runs = [((rid, kind, body) for rid, body in pending), *self._layers(kind, replaced, ())]
+            for rid, parts in _newest(runs):
+                body = parts[kind][2]
+                if body is not None or older or rid in files:  # else nothing older can hold rid
                     yield _header(kind, rid, body is None)
-                    if isinstance(body, tuple):
-                        _, fh, offset, length, _ = body
-                        fh.seek(offset)
-                        yield fh.read(length)
-                    elif body is not None:
-                        yield body
+                    yield body or b""
 
-            if merged:
-                _publish(self._segment(listing.last + 1, kind), chunks(), os.link)
+        # the deduplicated size of the merge so far is measured by streaming it again, so no id set
+        while older and self._size(older[-1], kind) <= 2 * sum(map(len, chunks())):
+            replaced.insert(0, older.pop())
+        if (first := next(out := chunks(), None)) is not None:
+            _publish(self._segment(listing.last + 1, kind), itertools.chain([first], out), os.link)
         for n in replaced:
             path = self._segment(n, kind)
             try:
@@ -752,62 +794,22 @@ class RecordStore:
 
     # --- reading -----------------------------------------------------------
 
-    def _index(
-        self, kind: str, numbers: list[int], files: Iterable[str], stack: contextlib.ExitStack
-    ) -> dict[str, tuple[str, BinaryIO | None, int, int, int] | None]:
-        """Where each id's ``kind`` part sits: the newest of the numbered segments, else ``files``.
-
-        The value is ``(path, open file, offset, length, first_line)``, with
-        no open file for a per-record file, or None for a tombstone.  The
-        segments stay open until ``stack`` closes.  FileNotFoundError passes
-        through for a segment that is gone.
-        """
+    def _layers(self, kind: str, numbers: list[int], files: Iterable[str]) -> list[Iterator]:
+        """A sorted run per layer of ``kind``, newest first: numbered segments, then ``files``."""
         suffix = _KINDS[kind][0]
-        index = {rid: (self._prefix + rid + suffix, None, 0, -1, 1) for rid in files}
-        for n in numbers:  # oldest first, so newer blocks overwrite
-            path = self._segment(n, kind)
-            try:
-                fh = stack.enter_context(open(path, "rb"))
-                blocks = _scan(fh, kind)
-            except FileNotFoundError:
-                raise
-            except OSError as exc:
-                raise StorageFailure(f"read of {path} failed: {exc}") from exc
-            except MalformedLine as exc:
-                raise in_file(exc, path)
-            for rid, offset, length, first_line in blocks:
-                index[rid] = None if length < 0 else (path, fh, offset, length, first_line)
-        return index
+        runs = [_run(self._segment(n, kind), kind) for n in reversed(numbers)]
+        runs.append((rid, kind, _IN_FILE, 1, self._prefix + rid + suffix) for rid in sorted(files))
+        return runs
 
-    def _open(self, kinds: list[str], stack: contextlib.ExitStack) -> dict[str, dict]:
-        """An index per kind of ``kinds``, listing again if a merge removes a listed segment."""
+    def _read(self, kinds: list[str]) -> Iterator[tuple[str, dict[str, tuple]]]:
+        """The newest parts of ``kinds`` per id; lists again if a merge removes a listed segment."""
         while True:
             listing = _Listing(self.root)
-            with contextlib.ExitStack() as opened, contextlib.suppress(FileNotFoundError):
-                indexes = {
-                    kind: self._index(kind, listing.segments[kind], listing.files[kind], opened)
-                    for kind in kinds
-                }
-                stack.enter_context(opened.pop_all())
-                return indexes
-
-    def _part(self, kind: str, record_id: str, indexes: dict):
-        """The ``kind`` part of a record, parsed from the layer that holds it, or None."""
-        if (loc := indexes[kind].get(record_id)) is None:
-            return None
-        path, fh, offset, length, first_line = loc
-        try:
-            if fh is None:  # a per-record file
-                if (text := _read_text(path)) is None:
-                    return None
-            else:
-                fh.seek(offset)
-                text = decode(fh.read(length), first_line)
-            return _KINDS[kind][1](text, first_line)
-        except (MalformedLine, MissingField, ValueError) as exc:
-            raise in_file(exc, path)
-        except OSError as exc:
-            raise StorageFailure(f"read of {path} failed: {exc}") from exc
+            runs = sum((self._layers(k, listing.segments[k], listing.files[k]) for k in kinds), [])
+            merged = _newest(runs)
+            with contextlib.suppress(FileNotFoundError):  # a merge's first step opens every run
+                first = next(merged, None)
+                return itertools.chain([] if first is None else [first], merged)
 
     def iter_records(
         self,
@@ -820,7 +822,9 @@ class RecordStore:
 
         Each record carries the sidecars asked for; a kind left out is
         neither opened nor decoded, so a damaged sidecar fails only the
-        readers that ask for it.  UnknownRecord for a named id not stored.
+        readers that ask for it.  A named read is one pass over the store
+        that keeps the blocks of the named ids only.  UnknownRecord for a
+        named id not stored.
         """
         if record_ids is not None:
             record_ids = list(record_ids)
@@ -829,19 +833,18 @@ class RecordStore:
         kinds = ["records"]
         kinds += ["keywords"] if keywords else []
         kinds += ["references"] if references else []
-        with contextlib.ExitStack() as stack:
-            indexes = self._open(kinds, stack)
-            if record_ids is None:
-                record_ids = sorted(indexes["records"])
-            for record_id in record_ids:
-                record = self._part("records", record_id, indexes)
-                if record is None:
-                    raise UnknownRecord(record_id)
-                if references and (part := self._part("references", record_id, indexes)):
-                    record.references_digest, record.references = part
-                if keywords and (part := self._part("keywords", record_id, indexes)):
-                    record.keywords_digest, record.keywords = part
-                yield record
+        merged = self._read(kinds)
+        if record_ids is None:
+            for _, parts in merged:
+                if (record := _record(parts)) is not None:
+                    yield record
+            return
+        wanted = set(record_ids)
+        named = {record_id: parts for record_id, parts in merged if record_id in wanted}
+        for record_id in record_ids:
+            if (record := _record(named.get(record_id, {}))) is None:
+                raise UnknownRecord(record_id)
+            yield record
 
     def get(
         self, record_id: str, *, keywords: bool = True, references: bool = True
@@ -851,8 +854,7 @@ class RecordStore:
         return record
 
     def record_ids(self) -> list[str]:
-        with contextlib.ExitStack() as stack:
-            return sorted(self._open(["records"], stack)["records"])
+        return [record_id for record_id, _ in self._read(["records"])]
 
     def __len__(self) -> int:
         return len(self.record_ids())

@@ -274,8 +274,7 @@ def check_fault_names_its_file(capsys, workspace, reader, utf8):
     (root / "good.rec").write_text("id: n1\ntitle: New\n", encoding="utf-8")
     records, refs, keys = (segment_files(store, kind)[0] for kind in ("records", "references", "keywords"))
     # reader -> (file, its text up to the faulty line, that line, the command that reads it,
-    # the line's fault); in a store, the fault goes to the end of a segment's last block, or of
-    # a block added for r01, which wins over r01's first block in that segment
+    # the line's fault); in a store, the fault goes to the end of a segment's last block
     path, head, line, argv, message = {
         "ingest-input": (
             root / "bad.rec",
@@ -314,14 +313,14 @@ def check_fault_names_its_file(capsys, workspace, reader, utf8):
         ),
         "refs-sidecar": (
             refs,
-            refs.read_text(encoding="utf-8") + "%%\tr01\ndigest\tx\n",
+            refs.read_text(encoding="utf-8"),
             "one column\n",
             ["citegraph"],
-            "line 27: refs sidecar row has 1 columns",
+            "line 25: refs sidecar row has 1 columns",
         ),
         "keys-sidecar": (
             keys,
-            keys.read_text(encoding="utf-8") + "%%\tr01\n",
+            keys.read_text(encoding="utf-8"),
             "t\tlabel\tnotint\t\t\n",
             ["alerts", "run", "--now", "5000"],
             "invalid literal for int() with base 10: 'notint'",

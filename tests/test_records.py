@@ -6,6 +6,8 @@ import builtins
 import contextlib
 import logging
 import os
+import tracemalloc
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -441,6 +443,10 @@ class TestStore:
             ("seg-2.keywords", "t\tlabel\t1\t\t\n", "line 1: line outside every segment block"),
             ("seg-2.keywords", "%%\tr1\tgone\n", "line 1: line outside every segment block"),
             ("seg-2.keywords", "%%\tr1\nt\tlabel\tx\t\t\n", "invalid literal for int() with base 10: 'x'"),
+            # ids must ascend: a segment is a sorted run
+            ("seg-2.keywords", "%%\tr2\nt\tlabel\t1\t\t\n%%\tr1\n", "line 3: segment ids do not ascend"),
+            ("seg-2.keywords", "%%\tr1\n%%\tr1\tremoved\n", "line 2: segment ids do not ascend"),
+            ("seg-1.records", "%%\nid: r2\ntitle: T\n%%\nid: r1\ntitle: U\n", "line 4: segment ids do not ascend"),
         ],
     )
     def test_damaged_segment_names_its_file_and_line(self, store: RecordStore, name, text, message):
@@ -493,6 +499,31 @@ class TestStore:
         armed.append(True)
         assert store.record_ids() == ["r1", "r2"]
         assert [p.name for p in store.root.iterdir()] == ["seg-3.records"]
+
+    def test_reads_hold_no_memory_per_stored_record(self, tmp_path: Path):
+        """A whole-store read and a ``get`` merge the segments as streams, keeping no id index."""
+
+        def enriched_store(n: int) -> RecordStore:
+            store = RecordStore(tmp_path / str(n))
+            with store.batch():
+                for i in range(n):
+                    record_id = f"r{i:05d}"
+                    store.upsert(BibRecord(record_id, f"Title {i}", authors=["A. Pepe"], year=2006))
+                    store.write_keywords_sidecar(record_id, [KeywordAssignment("t1", "dilaton", 2)], "cd34")
+                    store.write_refs_sidecar(record_id, [CitationEntry("[1] A. B, Phys. Rev. A 1 (2000) 2")])
+            return store
+
+        def peak(read) -> int:
+            tracemalloc.start()
+            try:
+                read()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = enriched_store(500), enriched_store(2000)
+        for read in (lambda store: deque(store.iter_records(), maxlen=0), lambda store: store.get("r00250")):
+            assert peak(lambda: read(large)) - peak(lambda: read(small)) < 64 * 1024
 
     def test_fulltext_resolution(self, store: RecordStore):
         record = BibRecord("r1", "T", fulltext_path="ft/r1.txt")

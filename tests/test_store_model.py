@@ -7,8 +7,9 @@ reopened now and then.  After every step the store's whole-store read, a
 read of named ids out of order and repeated, and ``get`` must equal the
 model, and the size rule of the merges must hold: every segment of a kind
 is more than twice the size of the next newer one.  Reads of drawn id
-lists, with ids never stored among them, and removals of sidecars that no
-layer holds, which must leave the store directory as it was, are steps too.
+lists, with ids never stored among them, runs of small batches that make
+merges cascade, and removals of sidecars that no layer holds, which must
+leave the store directory as it was, are steps too.
 """
 
 from __future__ import annotations
@@ -150,6 +151,22 @@ class StoreModel(RuleBasedStateMachine):
             assert self.read_all() == before  # nothing of a batch shows before it ends
         for write in batch:
             self.model(*write)
+
+    @rule(
+        batches=st.lists(st.lists(writes, min_size=1, max_size=2), min_size=4, max_size=12),
+        record_ids=st.lists(st.sampled_from((*IDS, NEVER_STORED)), max_size=8),
+        keywords=st.booleans(),
+        references=st.booleans(),
+    )
+    def write_small_batches_then_read_named_ids(self, batches, record_ids, keywords, references):
+        """Many small segments in a row make merges cascade through the tiers; then a named read."""
+        for batch in batches:
+            with self.store.batch():
+                for write in batch:
+                    self.write(*write)
+            for write in batch:
+                self.model(*write)
+        self.read_named_ids(record_ids, keywords, references)
 
     @precondition(lambda self: self.missing_sidecars())
     @rule(data=st.data())
