@@ -12,8 +12,9 @@ every subscription whose window holds its ingest time.  It keeps only the
 matched ids and their titles, so its memory grows with the deliveries,
 not with the store; files are written only after the last record is read.
 
-Subscription files are in the ``key: value`` format of ``fields``; unlike
-records, they may hold empty values.
+Subscription files are in the ``key: value`` format of ``fields``, with the
+fields ``_FIELDS`` declares; unlike records, they may hold empty values.  A
+``clause`` value ``parse_clause`` refuses is a MalformedLine naming its line.
 
 The batch runner is single-instance by contract; registration may run
 concurrently with readers but not with a batch run.
@@ -21,7 +22,6 @@ concurrently with readers but not with a batch run.
 
 from __future__ import annotations
 
-import logging
 import os
 import time
 import uuid
@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import MalformedLine, MissingField, in_file
-from .fields import check_int, check_value, key_value_lines
+from .fields import check_value, field_lines, read_fields
 from .records import (
     BibRecord,
     FieldQuery,
@@ -42,8 +42,6 @@ from .records import (
     parse_clause,
     write_atomic,
 )
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -67,45 +65,27 @@ class Notification:
     record_ids: tuple[str, ...]
 
 
+# The fields of a subscription file, in file order.
+_FIELDS = {
+    "alert_id": ("alert_id", False, str, str),
+    "owner": ("owner", False, str, str),
+    "created": ("created", False, int, str),
+    "last_run": ("last_run", False, int, str),
+    "clause": ("clauses", True, parse_clause, format_clause),
+}
+
+
 def serialize_subscription(sub: AlertSubscription) -> str:
-    lines = [
-        f"alert_id: {sub.alert_id}",
-        f"owner: {sub.owner}",
-        f"created: {sub.created}",
-        f"last_run: {sub.last_run}",
-    ]
-    lines.extend(f"clause: {format_clause(c)}" for c in sub.query.clauses)
-    return "\n".join(lines) + "\n"
-
-
-_SINGLE_KEYS = ("alert_id", "owner", "created", "last_run")
-_INT_KEYS = ("created", "last_run")
+    values = {**vars(sub), "clauses": sub.query.clauses}
+    return "".join([f"{key}: {value}\n" for key, value in field_lines(values, _FIELDS)])
 
 
 def parse_subscription(text: str) -> AlertSubscription:
-    singles: dict[str, str] = {}
-    clauses = []
-    for line_no, key, value in key_value_lines(text.splitlines()):
-        if key == "clause":
-            clauses.append(parse_clause(value))
-        elif key in _SINGLE_KEYS:
-            if key in singles:
-                raise MalformedLine(f"duplicate key {key!r}", line_no)
-            if key in _INT_KEYS:
-                check_int(key, value, line_no)
-            singles[key] = value
-        else:
-            logger.warning("subscription line %d: ignoring unknown key %r", line_no, key)
-    for key in _SINGLE_KEYS:
-        if key not in singles:
+    values = read_fields(text.splitlines(), _FIELDS, "subscription", empty_ok=True)
+    for key, (attr, repeats, _, _) in _FIELDS.items():
+        if not repeats and attr not in values:  # every single key is mandatory
             raise MissingField(key, "subscription")
-    return AlertSubscription(
-        alert_id=singles["alert_id"],
-        query=FieldQuery(tuple(clauses)),
-        owner=singles["owner"],
-        created=int(singles["created"]),
-        last_run=int(singles["last_run"]),
-    )
+    return AlertSubscription(query=FieldQuery(tuple(values.pop("clauses", ()))), **values)
 
 
 class AlertStore:

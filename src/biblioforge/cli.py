@@ -179,6 +179,8 @@ def _records_with_text(store: RecordStore, records, settings: str, sidecar: str)
 
 
 def cmd_keywords(args, cfg: Config, out) -> None:
+    if args.max < 1:  # extract_keywords would refuse it only at the first full text
+        raise ValueError("max_results must be >= 1")
     if cfg.taxonomy_path is None:
         raise ValueError("no taxonomy configured (set taxonomy_path or --taxonomy)")
     # Bytes read before the taxonomy is parsed: if the file changes in

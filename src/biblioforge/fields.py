@@ -5,17 +5,21 @@ MalformedLine naming its line, and a parse error ends with `` in <path>``.
 
 In the ``key: value`` format, also that of taxonomies, a line holds one field:
 the key runs up to the first ``:``, the value is the rest, both stripped.
-Blank lines are skipped; which keys exist, repeat or may be empty is up to each format.
+Blank lines are skipped.  Records and subscriptions each declare their fields
+once, in a table that ``read_fields`` reads and ``field_lines`` writes by.
 """
 
 from __future__ import annotations
 
 import contextlib
+import logging
 import re
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import BiblioforgeError, MalformedLine, in_file
+
+logger = logging.getLogger(__name__)
 
 # Every character str.splitlines splits on.
 LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
@@ -65,12 +69,52 @@ def line_blocks(
         start = end + 1
 
 
-def check_int(key: str, value: str, line_no: int) -> None:
-    """Raise MalformedLine naming ``line_no`` unless ``value`` reads as an int."""
-    try:
-        int(value)
-    except ValueError:
-        raise MalformedLine(f"{key} is not an integer: {value!r}", line_no) from None
+# key -> (attribute, repeats, read, write): ``read`` turns a value's text into
+# the attribute's value (or one item of its list, if the key repeats), and
+# ``write`` turns it back.
+FieldTable = dict[str, tuple[str, bool, Callable[[str], Any], Callable[[Any], str]]]
+
+
+def read_fields(
+    lines: Iterable[str], table: FieldTable, what: str, first_line: int = 1, empty_ok: bool = False
+) -> dict[str, Any]:
+    """The values of ``lines`` by attribute name: a list for a repeating key, if present.
+
+    An empty value (unless ``empty_ok``), a second single key or a value
+    ``read`` refuses is a MalformedLine naming its line, checked in that
+    order; a key not in ``table`` is ignored with a warning naming ``what``.
+    """
+    values: dict[str, Any] = {}
+    for line_no, key, text in key_value_lines(lines, first_line):
+        if not (text or empty_ok):
+            raise MalformedLine(f"empty value for key {key!r}", line_no)
+        if key not in table:
+            logger.warning("%s line %d: ignoring unknown key %r", what, line_no, key)
+            continue
+        attr, repeats, read, _ = table[key]
+        if not repeats and attr in values:
+            raise MalformedLine(f"duplicate key {key!r}", line_no)
+        try:
+            value = read(text)
+        except ValueError as exc:
+            reason = f"{key} is not an integer: {text!r}" if read is int else str(exc)
+            raise MalformedLine(reason, line_no) from None
+        if repeats:
+            values.setdefault(attr, []).append(value)
+        else:
+            values[attr] = value
+    return values
+
+
+def field_lines(values: dict[str, Any], table: FieldTable) -> Iterator[tuple[str, str]]:
+    """Yield ``(key, text)`` per field of ``values`` in table order; None writes no line."""
+    for key, (attr, repeats, _, write) in table.items():
+        value = values[attr]
+        if repeats:
+            for item in value:
+                yield key, write(item)
+        elif value is not None:
+            yield key, write(value)
 
 
 def check_value(what: str, value: str) -> None:

@@ -1,8 +1,10 @@
 """Bibliographic record model, on-disk store, field queries and BibTeX export.
 
 Records are UTF-8 in the ``key: value`` format of ``fields``, with no empty
-values, separated by a line containing only ``%%``.  Keys ``author``,
-``report_number`` and ``reference_raw`` repeat; all others are singular.
+values, separated by a line containing only ``%%``.  ``_FIELDS`` declares
+their keys once, in file order, for reading, writing and validation: keys
+``author``, ``report_number`` and ``reference_raw`` repeat; all others are
+singular.
 
 A store is a directory of segment files, three kinds of them: records,
 keywords and references.  Each writing command adds one segment per kind
@@ -50,13 +52,12 @@ from __future__ import annotations
 import contextlib
 import heapq
 import itertools
-import logging
 import os
 import re
 import tempfile
 import time
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
@@ -65,20 +66,14 @@ from typing import BinaryIO, Iterable, Iterator
 from _blake2 import blake2b
 
 from .errors import MalformedLine, MissingField, StorageFailure, UnknownRecord, in_file
-from .fields import LINE_BREAKS, check_int, check_value, decode, key_value_lines, line_blocks
+from .fields import LINE_BREAKS, check_value, decode, field_lines, line_blocks, read_fields
 from .refextract import CitationEntry
 from .taxonomy import KeywordAssignment
-
-logger = logging.getLogger(__name__)
 
 YEAR_MIN = 1800
 YEAR_MAX = 2100
 
 RECORD_SEPARATOR = "%%"
-
-_SINGULAR_KEYS = ("id", "title", "year", "journal", "volume", "page", "fulltext", "ingest_time")
-_REPEATABLE_KEYS = ("author", "report_number", "reference_raw")
-_INT_KEYS = ("year", "ingest_time")
 
 QUERY_FIELDS = ("title", "author", "year", "journal", "report_number", "keyword", "any")
 QUERY_MATCHES = ("contains", "equals", "range")
@@ -105,6 +100,22 @@ class BibRecord:
     # Input digests read from the sidecars: provenance of the results, not content.
     keywords_digest: str | None = field(default=None, compare=False, repr=False)
     references_digest: str | None = field(default=None, compare=False, repr=False)
+
+
+# The fields of a record file, in file order; keywords and digests live in sidecars.
+_FIELDS = {
+    "id": ("record_id", False, str, str),
+    "title": ("title", False, str, str),
+    "author": ("authors", True, str, str),
+    "year": ("year", False, int, str),
+    "journal": ("journal", False, str, str),
+    "volume": ("volume", False, str, str),
+    "page": ("page", False, str, str),
+    "report_number": ("report_numbers", True, str, str),
+    "fulltext": ("fulltext_path", False, str, str),
+    "ingest_time": ("ingest_time", False, int, str),
+    "reference_raw": ("references", True, CitationEntry, attrgetter("raw")),
+}
 
 
 def make_dir(root: str | Path, what: str) -> Path:
@@ -181,28 +192,22 @@ def _check_record_id(record_id: str) -> None:
 
 
 def validate_record(record: BibRecord) -> None:
-    """Check record invariants; raises ValueError on violation."""
+    """Check record invariants; raises ValueError on violation, naming the record."""
     _check_record_id(record.record_id)
-    if not record.title.strip():
-        raise ValueError("title must be non-empty")
-    if record.year is not None and not YEAR_MIN <= record.year <= YEAR_MAX:
-        raise ValueError(f"year {record.year} outside [{YEAR_MIN}, {YEAR_MAX}]")
-    if record.ingest_time is not None and record.ingest_time < 0:
-        raise ValueError("ingest_time must be non-negative")
-    for value in _serializable_values(record):
-        # parse_record refuses an empty value
-        if not value.strip():
-            raise ValueError(f"field value is blank or has surrounding whitespace: {value!r}")
-        check_value("field value", value)
-
-
-def _serializable_values(record: BibRecord) -> list[str]:
-    values = [record.record_id, record.title, *record.authors, *record.report_numbers]
-    for opt in (record.journal, record.volume, record.page, record.fulltext_path):
-        if opt is not None:
-            values.append(opt)
-    values.extend(entry.raw for entry in record.references)
-    return values
+    try:
+        if not record.title.strip():
+            raise ValueError("title must be non-empty")
+        if record.year is not None and not YEAR_MIN <= record.year <= YEAR_MAX:
+            raise ValueError(f"year {record.year} outside [{YEAR_MIN}, {YEAR_MAX}]")
+        if record.ingest_time is not None and record.ingest_time < 0:
+            raise ValueError("ingest_time must be non-negative")
+        for _, value in field_lines(vars(record), _FIELDS):
+            # parse_record refuses an empty value
+            if not value.strip():
+                raise ValueError(f"field value is blank or has surrounding whitespace: {value!r}")
+            check_value("field value", value)
+    except ValueError as exc:
+        raise ValueError(f"record {record.record_id}: {exc}") from None
 
 
 def parse_record(raw: str, _line_offset: int = 0) -> BibRecord:
@@ -211,38 +216,12 @@ def parse_record(raw: str, _line_offset: int = 0) -> BibRecord:
     Mandatory keys are ``id`` and ``title``.  Unknown keys are ignored with
     a warning; an empty value is a MalformedLine.
     """
-    singles: dict[str, str] = {}
-    repeats: dict[str, list[str]] = {k: [] for k in _REPEATABLE_KEYS}
-    for line_no, key, value in key_value_lines(raw.splitlines(), 1 + _line_offset):
-        if not value:
-            raise MalformedLine(f"empty value for key {key!r}", line_no)
-        if key in _REPEATABLE_KEYS:
-            repeats[key].append(value)
-        elif key in _SINGULAR_KEYS:
-            if key in singles:
-                raise MalformedLine(f"duplicate key {key!r}", line_no)
-            if key in _INT_KEYS:
-                check_int(key, value, line_no)
-            singles[key] = value
-        else:
-            logger.warning("record line %d: ignoring unknown key %r", line_no, key)
-    if "id" not in singles:
+    values = read_fields(raw.splitlines(), _FIELDS, "record", 1 + _line_offset)
+    if "record_id" not in values:
         raise MissingField("id")
-    if "title" not in singles:
+    if "title" not in values:
         raise MissingField("title")
-    return BibRecord(
-        record_id=singles["id"],
-        title=singles["title"],
-        authors=repeats["author"],
-        year=int(singles["year"]) if "year" in singles else None,
-        journal=singles.get("journal"),
-        volume=singles.get("volume"),
-        page=singles.get("page"),
-        report_numbers=repeats["report_number"],
-        fulltext_path=singles.get("fulltext"),
-        references=[CitationEntry(raw=r) for r in repeats["reference_raw"]],
-        ingest_time=int(singles["ingest_time"]) if "ingest_time" in singles else None,
-    )
+    return BibRecord(**values)
 
 
 def parse_records_text(text: str) -> list[BibRecord]:
@@ -257,23 +236,7 @@ def parse_records_text(text: str) -> list[BibRecord]:
 
 def serialize_record(record: BibRecord) -> str:
     """Serialize a record to its file format; inverse of parse_record."""
-    lines = [f"id: {record.record_id}", f"title: {record.title}"]
-    lines.extend(f"author: {a}" for a in record.authors)
-    if record.year is not None:
-        lines.append(f"year: {record.year}")
-    if record.journal is not None:
-        lines.append(f"journal: {record.journal}")
-    if record.volume is not None:
-        lines.append(f"volume: {record.volume}")
-    if record.page is not None:
-        lines.append(f"page: {record.page}")
-    lines.extend(f"report_number: {rn}" for rn in record.report_numbers)
-    if record.fulltext_path is not None:
-        lines.append(f"fulltext: {record.fulltext_path}")
-    if record.ingest_time is not None:
-        lines.append(f"ingest_time: {record.ingest_time}")
-    lines.extend(f"reference_raw: {e.raw}" for e in record.references)
-    return "\n".join(lines) + "\n"
+    return "".join([f"{key}: {value}\n" for key, value in field_lines(vars(record), _FIELDS)])
 
 
 @dataclass(frozen=True)
@@ -329,10 +292,17 @@ def parse_clause(text: str) -> QueryClause:
         lo, sep, hi = value.partition("..")
         if not sep:
             raise ValueError(f"year range must be lo..hi, got {value!r}")
-        return QueryClause(fld, match, (int(lo), int(hi)))
+        return QueryClause(fld, match, (_clause_year(text, lo), _clause_year(text, hi)))
     if fld == "year" and match == "equals":
-        return QueryClause(fld, match, int(value))
+        return QueryClause(fld, match, _clause_year(text, value))
     return QueryClause(fld, match, value)
+
+
+def _clause_year(clause: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"clause {clause!r} needs an integer year, got {value!r}") from None
 
 
 def format_clause(clause: QueryClause) -> str:

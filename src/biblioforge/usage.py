@@ -21,7 +21,7 @@ import logging
 from collections import Counter, defaultdict
 from itertools import chain
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import MalformedLine, UnknownRecord
 
@@ -105,7 +105,8 @@ class LogScan:
         # gives the lines of str.splitlines on the whole file, apart from
         # empty ones, which parse ignores.
         with open(path, "rb") as f:
-            for block in _blocks(f):
+            while block := f.read(BLOCK_SIZE):
+                block += f.readline()
                 try:
                     yield block.decode("utf-8").splitlines()
                 except UnicodeDecodeError:
@@ -121,22 +122,6 @@ class LogScan:
                 self.skipped += 1
                 logger.warning("skipping log line: %s", exc)
         return lines
-
-
-def _blocks(f: BinaryIO) -> Iterator[bytes]:
-    """The file's bytes in blocks of whole lines, each about BLOCK_SIZE long."""
-    pending: list[bytes] = []
-    while chunk := f.read(BLOCK_SIZE):
-        cut = chunk.rfind(b"\n") + 1
-        if cut:
-            pending.append(chunk[:cut])
-            yield b"".join(pending)
-            pending = [chunk[cut:]]
-        else:
-            pending.append(chunk)
-    tail = b"".join(pending)
-    if tail:
-        yield tail
 
 
 def events_from_lines(lines: Iterable[str]) -> tuple[list[UsageEvent], int]:

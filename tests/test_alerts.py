@@ -181,7 +181,12 @@ class TestStoredValues:
             (lambda t: t + "last_run: 9\n", MalformedLine, "line 6: duplicate key 'last_run' in "),
             (lambda t: t + "no separator\n", MalformedLine, "line 6: no key separator in "),
             (lambda t: t.replace("owner: you\n", ""), MissingField, "owner (subscription) in "),
-            (lambda t: t + "clause: nonsense\n", ValueError, "field:match:value"),
+            (lambda t: t + "clause: nonsense\n", MalformedLine, "line 6: clause must be field:match:value"),
+            (
+                lambda t: t + "clause: year:equals:abc\n",
+                MalformedLine,
+                "line 6: clause 'year:equals:abc' needs an integer year, got 'abc' in ",
+            ),
             (
                 lambda t: t.replace("created: 5\n", "created: x\n"),
                 MalformedLine,
@@ -200,6 +205,7 @@ class TestStoredValues:
             "no-separator",
             "missing-owner",
             "bad-clause",
+            "bad-year-clause",
             "bad-created",
             "bad-last-run",
             "not-utf8",

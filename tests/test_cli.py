@@ -373,8 +373,31 @@ def test_ingest_of_an_invalid_record_stores_nothing(capsys, workspace):
     argv = ["ingest", str(root / "good.rec"), str(root / "bad.rec"), "--store-dir", str(store)]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err == f"error: year 3000 outside [1800, 2100] in {root / 'bad.rec'}\n"
+    assert err == f"error: record n2: year 3000 outside [1800, 2100] in {root / 'bad.rec'}\n"
     assert list(store.glob("*")) == []
+
+
+def test_ingest_names_the_invalid_record_of_a_file(capsys, workspace):
+    path = workspace["root"] / "multi.rec"
+    path.write_text(
+        "id: m1\ntitle: One\n%%\nid: m2\ntitle: Two\nyear: 3000\n%%\nid: m3\ntitle: Three\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "ingest", str(path), "--store-dir", str(workspace["store"]))
+    assert (code, out) == (1, "")
+    assert err == f"error: record m2: year 3000 outside [1800, 2100] in {path}\n"
+
+
+@pytest.mark.parametrize("populated", [False, True], ids=["empty-store", "with-records"])
+def test_keywords_max_below_one_fails_before_the_store_is_read(capsys, workspace, populated):
+    store = workspace["store"]
+    if populated:
+        ingest_corpus(capsys, workspace)
+    files = {p: p.read_bytes() for p in store.rglob("*") if p.is_file()}
+    argv = ["keywords", "--max", "0", "--taxonomy", str(DATA_DIR / "taxonomy20.tax")]
+    code, out, err = run(capsys, *argv, "--store-dir", str(store))
+    assert (code, out, err) == (1, "", "error: max_results must be >= 1\n")
+    assert {p: p.read_bytes() for p in store.rglob("*") if p.is_file()} == files
 
 
 def test_ingest_keeps_the_last_of_records_sharing_an_id(capsys, workspace, caplog):
@@ -672,6 +695,13 @@ class TestAlertsCommands:
         assert code == 1
         assert "clause" in err
 
+    @pytest.mark.parametrize("clause, value", [("year:equals:abc", "abc"), ("year:range:1..x", "x")])
+    def test_non_integer_year_clause_is_named(self, capsys, workspace, clause, value):
+        argv = ["alerts", "register", "--owner", "me", "--clause", clause]
+        code, out, err = run(capsys, *argv, "--alerts-dir", str(workspace["alerts"]))
+        assert (code, out) == (1, "")
+        assert err == f"error: clause {clause!r} needs an integer year, got {value!r}\n"
+
 
 class TestConfigWiring:
     def test_config_file_and_flag_override(self, capsys, workspace, monkeypatch):
@@ -811,3 +841,9 @@ def test_ci_workflow_runs_both_suites():
         "PYTHONWARNINGS": "error::EncodingWarning",
     }
     assert 0 < job["timeout-minutes"] <= 15
+    # CI installs exactly the test extra, so `pip install .[test]` runs this test too
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = tomllib.loads((path.parents[2] / "pyproject.toml").read_text(encoding="utf-8"))
+    [install] = [step["run"] for step in job["steps"] if "pip install" in step.get("run", "")]
+    packages = install.split("pip install", 1)[1].split()
+    assert sorted(packages) == sorted(pyproject["project"]["optional-dependencies"]["test"])

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import builtins
 import contextlib
+import dataclasses
 import logging
 import os
+import re
 import tracemalloc
 from collections import deque
 from pathlib import Path
@@ -87,6 +89,13 @@ class TestParseRecord:
         assert record.authors == ["A One", "B Two"]
         assert record.report_numbers == ["gr-qc/0607062"]
         assert [e.raw for e in record.references] == ["[1] x", "[2] y"]
+
+    def test_every_record_field_has_one_file_key(self):
+        # a field the table lacks would be dropped silently by every write
+        in_sidecars = {"keywords", "keywords_digest", "references_digest"}
+        expected = [f.name for f in dataclasses.fields(BibRecord) if f.name not in in_sidecars]
+        attributes = [attr for attr, *_ in records_module._FIELDS.values()]
+        assert sorted(attributes) == sorted(expected)
 
     def test_unknown_key_warns(self, caplog):
         with caplog.at_level(logging.WARNING, logger="biblioforge.records"):
@@ -615,6 +624,12 @@ class TestMatchQuery:
         assert parse_clause("year:equals:2006") == QueryClause("year", "equals", 2006)
         with pytest.raises(ValueError):
             parse_clause("authorcontains")
+
+    @pytest.mark.parametrize("text, value", [("year:equals:abc", "abc"), ("year:range:1..x", "x")])
+    def test_parse_clause_names_a_non_integer_year(self, text, value):
+        message = f"clause {text!r} needs an integer year, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_clause(text)
 
 
 _clauses = st.one_of(
