@@ -1,26 +1,25 @@
 """Configuration for the batch pipeline.
 
-Config files are in the ``key: value`` format of ``fields``, with no empty
-values; lines starting with ``#`` are comments.  ``heading_pattern`` may
-repeat and, when present, replaces the default heading patterns; the field
-name ``heading_patterns`` is an unknown key, warned about and ignored.  Command
-line flags override file values; the file path comes from ``--config`` or
-the BIBLIOFORGE_CONFIG environment variable.
+Config files are in the ``key: value`` format of ``fields``, read through
+the ``_FIELDS`` table, with no empty values.  The config's own rules: a line
+whose first non-blank character is ``#`` is a comment, and a repeated key
+keeps its last value, but all ``heading_pattern`` values together replace
+the default heading patterns (the field name ``heading_patterns`` is an
+unknown key).  Command line flags override file values; the file path
+comes from ``--config`` or the BIBLIOFORGE_CONFIG environment variable.
 """
 
 from __future__ import annotations
 
-import logging
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from .citegraph import check_rank_settings
-from .errors import MalformedLine
-from .fields import key_value_lines, reading
+from .fields import read_fields, reading
 from .refextract import DEFAULT_HEADING_PATTERNS, default_journal_kb_path
-
-logger = logging.getLogger(__name__)
 
 CONFIG_ENV_VAR = "BIBLIOFORGE_CONFIG"
 
@@ -50,31 +49,35 @@ class Config:
         return self.kb_path if self.kb_path is not None else default_journal_kb_path()
 
 
-# Config annotation (a string: annotations are postponed) -> parser; str for the rest
-_PARSERS = {"Path": Path, "Path | None": Path, "float": float, "int": int}
+def _number(key: str, parse: Callable[[str], float], text: str) -> float:
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValueError(f"bad number for {key}: {text!r}") from None
+
+
+# The fields of a config file; every key repeats, see load_config.
+_FIELDS = {
+    "store_dir": ("store_dir", True, Path, str),
+    "taxonomy_path": ("taxonomy_path", True, Path, str),
+    "kb_path": ("kb_path", True, Path, str),
+    "log_path": ("log_path", True, Path, str),
+    "alerts_dir": ("alerts_dir", True, Path, str),
+    "notifications_dir": ("notifications_dir", True, Path, str),
+    "damping": ("damping", True, partial(_number, "damping", float), str),
+    "rank_tolerance": ("rank_tolerance", True, partial(_number, "rank_tolerance", float), str),
+    "rank_max_iters": ("rank_max_iters", True, partial(_number, "rank_max_iters", int), str),
+    "heading_pattern": ("heading_patterns", True, str, str),
+}
 
 
 def load_config(path: str | Path) -> Config:
     """Parse a config file into a Config; unknown keys warn and are ignored."""
-    values: dict[str, object] = {}
-    patterns: list[str] = []
-    # heading_patterns is set only by heading_pattern lines, so as a key it is unknown
-    types = {f.name: f.type for f in fields(Config) if f.name != "heading_patterns"}
     with reading(path) as text:
         # a comment reads as a blank line, so later line numbers stay put
         lines = ("" if line.lstrip().startswith("#") else line for line in text.splitlines())
-        for line_no, key, value in key_value_lines(lines):
-            if not value:
-                raise MalformedLine(f"empty value for key {key!r}", line_no)
-            if key == "heading_pattern":
-                patterns.append(value)
-            elif key in types:
-                try:
-                    values[key] = _PARSERS.get(types[key], str)(value)
-                except ValueError:
-                    raise MalformedLine(f"bad number for {key}: {value!r}", line_no) from None
-            else:
-                logger.warning("config %s line %d: ignoring unknown key %r", path, line_no, key)
-        if patterns:
-            values["heading_patterns"] = tuple(patterns)
-        return Config(**values)  # type: ignore[arg-type]
+        values = read_fields(lines, _FIELDS, f"config {path}")
+        return Config(**{
+            attr: tuple(items) if attr == "heading_patterns" else items[-1]
+            for attr, items in values.items()
+        })

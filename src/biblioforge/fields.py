@@ -1,12 +1,16 @@
-"""Reading input files, and the ``key: value`` format of records, subscriptions and configs.
+"""Reading input files, and the ``key: value`` format that all four file formats share.
 
-``reading`` reads an input file whole as UTF-8: a byte that is not UTF-8 is a
-MalformedLine naming its line, and a parse error ends with `` in <path>``.
+``reading`` reads an input file whole as UTF-8, less a leading byte-order
+mark: a byte that is not UTF-8 is a MalformedLine naming its line, and a
+parse error ends with `` in <path>``.
 
-In the ``key: value`` format, also that of taxonomies, a line holds one field:
-the key runs up to the first ``:``, the value is the rest, both stripped.
-Blank lines are skipped.  Records and subscriptions each declare their fields
-once, in a table that ``read_fields`` reads and ``field_lines`` writes by.
+Records, subscriptions, configs and taxonomies each declare their fields once,
+in a table that the one reader ``read_fields`` reads (and ``field_lines``
+writes) by.  A line holds one field: the key runs up to the first ``:``, the
+value is the rest, both stripped; blank lines are skipped.  The differences
+stay with the callers: subscriptions accept empty values, configs have
+comments and keep the last of a repeated key, and a blank line ends a
+taxonomy term.  This module's logger warns of unknown keys.
 """
 
 from __future__ import annotations
@@ -41,22 +45,11 @@ def decode(data: bytes, first_line: int = 1) -> str:
 
 @contextlib.contextmanager
 def reading(path: str | Path) -> Iterator[str]:
-    """The text of the file at ``path``; a parse error in the ``with`` body names the file."""
+    """The text of the file at ``path``, less a leading BOM; a parse error in the body names it."""
     try:
-        yield decode(Path(path).read_bytes())
+        yield decode(Path(path).read_bytes()).removeprefix("\ufeff")
     except (BiblioforgeError, ValueError) as exc:
         raise in_file(exc, path)
-
-
-def key_value_lines(lines: Iterable[str], first_line: int = 1) -> Iterator[tuple[int, str, str]]:
-    """Yield ``(line_no, key, value)`` per non-blank line; MalformedLine if one has no ``:``."""
-    for line_no, line in enumerate(lines, start=first_line):
-        if not line.strip():
-            continue
-        key, sep, value = line.partition(":")
-        if not sep:
-            raise MalformedLine("no key separator", line_no)
-        yield line_no, key.strip(), value.strip()
 
 
 def line_blocks(
@@ -80,20 +73,29 @@ def read_fields(
 ) -> dict[str, Any]:
     """The values of ``lines`` by attribute name: a list for a repeating key, if present.
 
-    An empty value (unless ``empty_ok``), a second single key or a value
-    ``read`` refuses is a MalformedLine naming its line, checked in that
-    order; a key not in ``table`` is ignored with a warning naming ``what``.
+    A non-blank line without ``:``, an empty value (unless ``empty_ok``), a
+    second single key or a value ``read`` refuses is a MalformedLine naming
+    its line, checked in that order; a key not in ``table`` is ignored with a
+    warning naming ``what``.
     """
     values: dict[str, Any] = {}
-    for line_no, key, text in key_value_lines(lines, first_line):
+    seen: dict[str, int] = {}  # key -> its line, the first for a single key
+    for line_no, line in enumerate(lines, start=first_line):
+        if not line.strip():
+            continue
+        key, sep, text = line.partition(":")
+        if not sep:
+            raise MalformedLine("no key separator", line_no)
+        key, text = key.strip(), text.strip()
         if not (text or empty_ok):
             raise MalformedLine(f"empty value for key {key!r}", line_no)
         if key not in table:
             logger.warning("%s line %d: ignoring unknown key %r", what, line_no, key)
             continue
         attr, repeats, read, _ = table[key]
-        if not repeats and attr in values:
-            raise MalformedLine(f"duplicate key {key!r}", line_no)
+        if not repeats and key in seen:
+            raise MalformedLine(f"duplicate key {key!r} (first on line {seen[key]})", line_no)
+        seen[key] = line_no
         try:
             value = read(text)
         except ValueError as exc:

@@ -7,31 +7,35 @@ assignment counts label-phrase occurrences over a tokenized document;
 composite terms are counted as sentence-level co-occurrence of their two
 components.
 
+A taxonomy file is in the ``key: value`` format of ``fields``, read by
+``fields.read_fields`` through the ``_FIELDS`` table, with no empty values.
+``term: <id>`` opens a term; ``pref``, ``alt`` (repeatable), ``broader``
+(repeatable) and ``composite: <id> + <id>`` fill it in.  The taxonomy's own
+rule: a term is the run of lines from its ``term`` line to the next blank or
+``term`` line, and a term key anywhere else is refused.
+
 The taxonomy is immutable after load and safe to share across threads;
 ``extract_keywords`` is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
-import logging
 import re
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .errors import (
     CyclicBroaderLink,
     DanglingReference,
     DuplicateLabel,
-    MalformedLine,
     MissingField,
 )
-from .fields import key_value_lines, line_blocks, reading
-
-logger = logging.getLogger(__name__)
+from .fields import FieldTable, read_fields, reading
 
 # Sentinel emitted by tokenize() where a sentence ends.  Real tokens are
 # lowercase word characters and intra-word hyphens, so no collision.
@@ -215,68 +219,54 @@ class Taxonomy:
         return list(self._composites)
 
 
-_TERM_KEYS = ("term", "pref", "alt", "broader", "composite")
+def _text(key: str, value: str) -> str:
+    if "\t" in value:
+        # a term id or label ends up in a keywords sidecar row, where a tab splits it
+        raise ValueError(f"tab in {key!r} value")
+    return value
+
+
+def _composite(value: str) -> tuple[str, str]:
+    parts = [p.strip() for p in _text("composite", value).split("+")]
+    if len(parts) != 2 or not all(parts):
+        raise ValueError("composite must name two ids joined by '+'")
+    return parts[0], parts[1]
+
+
+def _outside(key: str, value: str) -> NoReturn:
+    _text(key, value)
+    raise ValueError(f"{key!r} outside a term block")
+
+
+# The fields of a taxonomy term, in file order.
+_FIELDS = {
+    "term": ("term_id", False, partial(_text, "term"), str),
+    "pref": ("pref_label", False, partial(_text, "pref"), str),
+    "alt": ("alt_labels", True, partial(_text, "alt"), str),
+    "broader": ("broader", True, partial(_text, "broader"), str),
+    "composite": ("composite_of", False, _composite, " + ".join),
+}
+# The same keys outside a term, each refused after the tab check.
+_OUTSIDE: FieldTable = {key: (key, True, partial(_outside, key), str) for key in _FIELDS}
+
+
+def _term_runs(lines: list[str]) -> Iterator[tuple[int, list[str], FieldTable]]:
+    """Yield ``(first_line_no, run, table)`` per run of ``lines`` up to a blank or ``term`` line."""
+    start, table = 0, _OUTSIDE
+    for i, line in enumerate([*lines, ""]):
+        is_term = line.partition(":")[0].strip() == "term"
+        if is_term or not line.strip():
+            yield start + 1, lines[start:i], table
+            start, table = i, _FIELDS if is_term else _OUTSIDE
 
 
 def load_taxonomy(path: str | Path) -> Taxonomy:
-    """Load a taxonomy from its line-oriented file format.
-
-    The file is in the ``key: value`` format of ``fields``, with no empty
-    values.  ``term: <id>`` opens a term; ``pref:``, ``alt:`` (repeatable),
-    ``broader:`` (repeatable) and ``composite: <id> + <id>`` fill it in; a
-    blank line ends it.  Unknown keys are ignored with a warning.
-    """
-    terms: list[TaxonomyTerm] = []
-    current: TaxonomyTerm | None = None
-    current_pref_line: int | None = None
-
-    def close(term: TaxonomyTerm | None) -> None:
-        if term is None:
-            return
-        if not term.pref_label:
-            raise MissingField("pref", f"term {term.term_id}")
-        terms.append(term)
-
+    """Load a taxonomy from its line-oriented file format (see the module docstring)."""
     with reading(path) as text:
-        # each block is read whole before the blank line after it closes its last term
-        for first, block in line_blocks(text.splitlines(), lambda line: not line.strip()):
-            for line_no, key, value in key_value_lines(block, first):
-                if not value:
-                    raise MalformedLine(f"empty value for key {key!r}", line_no)
-                if key in _TERM_KEYS and "\t" in value:
-                    # a term id or label ends up in a keywords sidecar row, where a tab splits it
-                    raise MalformedLine(f"tab in {key!r} value", line_no)
-                if key == "term":
-                    close(current)
-                    current = TaxonomyTerm(term_id=value, pref_label="")
-                    current_pref_line = None
-                elif key not in _TERM_KEYS:
-                    logger.warning(
-                        "taxonomy %s line %d: ignoring unknown key %r", path, line_no, key
-                    )
-                elif current is None:
-                    raise MalformedLine(f"{key!r} outside a term block", line_no)
-                elif key == "pref":
-                    if current.pref_label:
-                        raise MalformedLine(
-                            f"duplicate pref (first on line {current_pref_line})", line_no
-                        )
-                    current.pref_label = value
-                    current_pref_line = line_no
-                elif key == "alt":
-                    current.alt_labels.append(value)
-                elif key == "broader":
-                    current.broader.append(value)
-                elif key == "composite":
-                    parts = [p.strip() for p in value.split("+")]
-                    if len(parts) != 2 or not all(parts):
-                        raise MalformedLine("composite must name two ids joined by '+'", line_no)
-                    if current.composite_of is not None:
-                        raise MalformedLine("duplicate composite definition", line_no)
-                    current.composite_of = (parts[0], parts[1])
-            close(current)
-            current = None
-        return Taxonomy(terms)
+        runs = _term_runs(text.splitlines())
+        values = (read_fields(run, table, f"taxonomy {path}", first) for first, run, table in runs)
+        # a run outside any term reads as {}; Taxonomy refuses a term without a pref
+        return Taxonomy(TaxonomyTerm(**{"pref_label": "", **v}) for v in values if v)
 
 
 def _match_stream(

@@ -17,6 +17,7 @@ return lists of ``UsageEvent``.
 
 from __future__ import annotations
 
+import codecs
 import logging
 from collections import Counter, defaultdict
 from itertools import chain
@@ -105,6 +106,8 @@ class LogScan:
         # gives the lines of str.splitlines on the whole file, apart from
         # empty ones, which parse ignores.
         with open(path, "rb") as f:
+            if f.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:  # a leading BOM is dropped
+                f.seek(0)
             while block := f.read(BLOCK_SIZE):
                 block += f.readline()
                 try:

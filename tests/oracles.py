@@ -7,16 +7,30 @@ beyond the data types they need to read.
 
 from __future__ import annotations
 
+import codecs
+import logging
 import re
 from collections import defaultdict
+from dataclasses import fields
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from biblioforge.alerts import Notification, serialize_subscription
 from biblioforge.citegraph import CitationGraph
+from biblioforge.config import Config
+from biblioforge.errors import MalformedLine, MissingField
+from biblioforge.fields import line_blocks, reading
 from biblioforge.records import match_query
-from biblioforge.taxonomy import SENTENCE_BOUNDARY, KeywordAssignment, expanded_term_ids, stem
+from biblioforge.taxonomy import (
+    SENTENCE_BOUNDARY,
+    KeywordAssignment,
+    Taxonomy,
+    TaxonomyTerm,
+    expanded_term_ids,
+    stem,
+)
 
 _NAIVE_TOKEN_RE = re.compile(r"[^\W_]+(?:-[^\W_]+)*|[.!?]")
 
@@ -279,10 +293,10 @@ def naive_read_log(path):
     path = Path(path)
     undecodable = 0
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = path.read_text(encoding="utf-8-sig").splitlines()  # less a leading BOM
     except UnicodeDecodeError:
         lines = []
-        for raw in path.read_bytes().splitlines():
+        for raw in path.read_bytes().removeprefix(codecs.BOM_UTF8).splitlines():
             try:
                 lines.extend(raw.decode("utf-8").splitlines())
             except UnicodeDecodeError:
@@ -376,3 +390,114 @@ def naive_cluster_documents(assignments, threshold):
     clusters = [sorted(members) for members in groups.values()]
     clusters.sort(key=lambda c: c[0])
     return clusters
+
+
+# The hand-written config and taxonomy loaders that fields.read_fields replaced,
+# kept as they were but for their names (and the line splitter they shared).
+
+logger = logging.getLogger(__name__)
+
+
+def key_value_lines(lines: Iterable[str], first_line: int = 1) -> Iterator[tuple[int, str, str]]:
+    """Yield ``(line_no, key, value)`` per non-blank line; MalformedLine if one has no ``:``."""
+    for line_no, line in enumerate(lines, start=first_line):
+        if not line.strip():
+            continue
+        key, sep, value = line.partition(":")
+        if not sep:
+            raise MalformedLine("no key separator", line_no)
+        yield line_no, key.strip(), value.strip()
+
+
+# Config annotation (a string: annotations are postponed) -> parser; str for the rest
+_PARSERS = {"Path": Path, "Path | None": Path, "float": float, "int": int}
+
+
+def loop_load_config(path: str | Path) -> Config:
+    """Parse a config file into a Config; unknown keys warn and are ignored."""
+    values: dict[str, object] = {}
+    patterns: list[str] = []
+    # heading_patterns is set only by heading_pattern lines, so as a key it is unknown
+    types = {f.name: f.type for f in fields(Config) if f.name != "heading_patterns"}
+    with reading(path) as text:
+        # a comment reads as a blank line, so later line numbers stay put
+        lines = ("" if line.lstrip().startswith("#") else line for line in text.splitlines())
+        for line_no, key, value in key_value_lines(lines):
+            if not value:
+                raise MalformedLine(f"empty value for key {key!r}", line_no)
+            if key == "heading_pattern":
+                patterns.append(value)
+            elif key in types:
+                try:
+                    values[key] = _PARSERS.get(types[key], str)(value)
+                except ValueError:
+                    raise MalformedLine(f"bad number for {key}: {value!r}", line_no) from None
+            else:
+                logger.warning("config %s line %d: ignoring unknown key %r", path, line_no, key)
+        if patterns:
+            values["heading_patterns"] = tuple(patterns)
+        return Config(**values)  # type: ignore[arg-type]
+
+
+_TERM_KEYS = ("term", "pref", "alt", "broader", "composite")
+
+
+def loop_load_taxonomy(path: str | Path) -> Taxonomy:
+    """Load a taxonomy from its line-oriented file format.
+
+    The file is in the ``key: value`` format of ``fields``, with no empty
+    values.  ``term: <id>`` opens a term; ``pref:``, ``alt:`` (repeatable),
+    ``broader:`` (repeatable) and ``composite: <id> + <id>`` fill it in; a
+    blank line ends it.  Unknown keys are ignored with a warning.
+    """
+    terms: list[TaxonomyTerm] = []
+    current: TaxonomyTerm | None = None
+    current_pref_line: int | None = None
+
+    def close(term: TaxonomyTerm | None) -> None:
+        if term is None:
+            return
+        if not term.pref_label:
+            raise MissingField("pref", f"term {term.term_id}")
+        terms.append(term)
+
+    with reading(path) as text:
+        # each block is read whole before the blank line after it closes its last term
+        for first, block in line_blocks(text.splitlines(), lambda line: not line.strip()):
+            for line_no, key, value in key_value_lines(block, first):
+                if not value:
+                    raise MalformedLine(f"empty value for key {key!r}", line_no)
+                if key in _TERM_KEYS and "\t" in value:
+                    # a term id or label ends up in a keywords sidecar row, where a tab splits it
+                    raise MalformedLine(f"tab in {key!r} value", line_no)
+                if key == "term":
+                    close(current)
+                    current = TaxonomyTerm(term_id=value, pref_label="")
+                    current_pref_line = None
+                elif key not in _TERM_KEYS:
+                    logger.warning(
+                        "taxonomy %s line %d: ignoring unknown key %r", path, line_no, key
+                    )
+                elif current is None:
+                    raise MalformedLine(f"{key!r} outside a term block", line_no)
+                elif key == "pref":
+                    if current.pref_label:
+                        raise MalformedLine(
+                            f"duplicate pref (first on line {current_pref_line})", line_no
+                        )
+                    current.pref_label = value
+                    current_pref_line = line_no
+                elif key == "alt":
+                    current.alt_labels.append(value)
+                elif key == "broader":
+                    current.broader.append(value)
+                elif key == "composite":
+                    parts = [p.strip() for p in value.split("+")]
+                    if len(parts) != 2 or not all(parts):
+                        raise MalformedLine("composite must name two ids joined by '+'", line_no)
+                    if current.composite_of is not None:
+                        raise MalformedLine("duplicate composite definition", line_no)
+                    current.composite_of = (parts[0], parts[1])
+            close(current)
+            current = None
+        return Taxonomy(terms)

@@ -178,7 +178,7 @@ class TestStoredValues:
     @pytest.mark.parametrize(
         "edit, error, text",
         [
-            (lambda t: t + "last_run: 9\n", MalformedLine, "line 6: duplicate key 'last_run' in "),
+            (lambda t: t + "last_run: 9\n", MalformedLine, "line 6: duplicate key 'last_run' (first on line 4) in "),
             (lambda t: t + "no separator\n", MalformedLine, "line 6: no key separator in "),
             (lambda t: t.replace("owner: you\n", ""), MissingField, "owner (subscription) in "),
             (lambda t: t + "clause: nonsense\n", MalformedLine, "line 6: clause must be field:match:value"),

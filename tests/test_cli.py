@@ -622,7 +622,7 @@ class TestAlertsCommands:
         path.write_text(path.read_text(encoding="utf-8") + "last_run: 9\n", encoding="utf-8")
         code, out, err = self._run_batch(capsys, workspace, "5000")
         assert (code, out) == (1, "")
-        assert f"line 6: duplicate key 'last_run' in {path}" in err
+        assert f"line 6: duplicate key 'last_run' (first on line 4) in {path}" in err
         assert not workspace["notes"].exists()
 
     def test_copied_subscription_file_stops_the_batch(self, capsys, workspace):

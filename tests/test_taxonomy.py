@@ -197,11 +197,11 @@ class TestLoadTaxonomy:
         [
             (2, "empty value for key 'alt'", "term: t\nalt:\npref: tee\n"),
             (1, "'pref' outside a term block", "pref: tee\nterm: t\n"),
-            (3, "duplicate pref (first on line 2)", "term: t\npref: tee\npref: tea\n"),
+            (3, "duplicate key 'pref' (first on line 2)", "term: t\npref: tee\npref: tea\n"),
             (4, "composite must name two ids", "term: a\npref: aa\nterm: c\ncomposite: a +\n"),
             (
                 6,
-                "duplicate composite definition",
+                "duplicate key 'composite' (first on line 5)",
                 "term: a\npref: aa\nterm: b\npref: bb\ncomposite: a + b\n"
                 "composite: b + a\n",
             ),
@@ -246,6 +246,22 @@ class TestLoadTaxonomy:
         for term in taxonomy20.terms.values():
             for label in term.labels():
                 assert taxonomy20.label_index[" ".join(label.lower().split())] == term.term_id
+
+    def test_missing_pref_message_names_term_and_file(self, tmp_path):
+        path = tmp_path / "nopref.tax"
+        path.write_text("term: a\nalt: aa\n", encoding="utf-8")
+        with pytest.raises(MissingField) as exc:
+            load_taxonomy(path)
+        assert str(exc.value) == f"missing mandatory field: pref (term a) in {path}"
+
+    def test_term_line_ends_the_term_before_it(self, tmp_path):
+        path = tmp_path / "two.tax"
+        path.write_text("term: a\npref: alpha\nterm: b\npref: beta\nbroader: a\n", encoding="utf-8")
+        taxonomy = load_taxonomy(path)
+        assert taxonomy.terms == {
+            "a": TaxonomyTerm("a", "alpha"),
+            "b": TaxonomyTerm("b", "beta", broader=["a"]),
+        }
 
 
 class TestExtractKeywords:
